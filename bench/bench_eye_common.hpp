@@ -1,16 +1,11 @@
 // Shared eye-diagram reproduction logic for Figs 7, 8, 16, 17 and 19.
 #pragma once
 
-#include <bit>
-#include <chrono>
-
 #include "analysis/decompose.hpp"
 #include "analysis/eye.hpp"
 #include "bench_common.hpp"
 #include "core/presets.hpp"
 #include "core/test_system.hpp"
-#include "obs/obs.hpp"
-#include "signal/render_cache.hpp"
 
 namespace mgt::bench {
 
@@ -71,88 +66,6 @@ inline void run_eye_reproduction(ReportTable& table,
 
   std::cout << "\nFolded eye (2 UI wide, density-shaded):\n"
             << eye.ascii_art(72, 18) << "\n";
-}
-
-/// Demonstrates the content-addressed render cache on the figure's channel:
-/// one FIXED stimulus (a repeated acquisition of the same programmed
-/// pattern renders the same edges through the same chain — the shmoo-grid
-/// situation the cache exists for) accumulated cold (all misses) and warm
-/// (all hits) with byte-identical metrics; the wall-clock ratio is the
-/// measured speedup. The hit/miss counters also land in the
-/// BENCH_<name>.json obs section via the registry. Wall-clock here is
-/// bench-only reporting; it never feeds the deterministic metrics.
-inline void run_render_cache_report(ReportTable& table,
-                                    const core::ChannelConfig& config,
-                                    std::uint64_t seed,
-                                    std::size_t n_bits = 10000) {
-  using clock = std::chrono::steady_clock;
-  core::TestSystem sys(config, seed);
-  sys.program_prbs(7, 0xACE1);
-  sys.start();
-  const core::Stimulus stim = sys.generate(n_bits);
-
-  const double margin = 0.25 * stim.levels.swing().mv();
-  const ana::EyeDiagram::Config eye_config{
-      .ui = stim.ui,
-      .t_ref = stim.t0,
-      .v_lo = Millivolts{stim.levels.vol.mv() - margin},
-      .v_hi = Millivolts{stim.levels.voh.mv() + margin},
-      .threshold = stim.levels.midpoint(),
-  };
-  sig::RenderConfig render_config;
-  render_config.levels = stim.levels;
-  const Picoseconds begin = stim.t0;
-  const Picoseconds end{stim.t0.ps() +
-                        static_cast<double>(n_bits) * stim.ui.ps()};
-
-  sig::ScopedRenderCache cache_on(true);
-  sig::RenderCache::instance().clear();
-  auto& reg = obs::registry();
-  const auto hits0 = reg.counter("render_cache.hits").value();
-  const auto miss0 = reg.counter("render_cache.misses").value();
-
-  const auto t0 = clock::now();
-  const auto cold = ana::accumulate_eye(stim.edges, stim.chain, render_config,
-                                        begin, end, eye_config)
-                        .metrics();
-  const auto t1 = clock::now();
-  const auto miss_delta = reg.counter("render_cache.misses").value() - miss0;
-
-  const auto warm = ana::accumulate_eye(stim.edges, stim.chain, render_config,
-                                        begin, end, eye_config)
-                        .metrics();
-  const auto t2 = clock::now();
-  const auto hit_delta = reg.counter("render_cache.hits").value() - hits0;
-
-  const double cold_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  const double warm_ms =
-      std::chrono::duration<double, std::milli>(t2 - t1).count();
-  const double speedup = warm_ms > 0.0 ? cold_ms / warm_ms : 0.0;
-
-  const bool identical =
-      std::bit_cast<std::uint64_t>(cold.jitter.peak_to_peak.ps()) ==
-          std::bit_cast<std::uint64_t>(warm.jitter.peak_to_peak.ps()) &&
-      std::bit_cast<std::uint64_t>(cold.eye_opening.ui()) ==
-          std::bit_cast<std::uint64_t>(warm.eye_opening.ui()) &&
-      std::bit_cast<std::uint64_t>(cold.eye_height.mv()) ==
-          std::bit_cast<std::uint64_t>(warm.eye_height.mv()) &&
-      std::bit_cast<std::uint64_t>(cold.level_high.mv()) ==
-          std::bit_cast<std::uint64_t>(warm.level_high.mv()) &&
-      std::bit_cast<std::uint64_t>(cold.level_low.mv()) ==
-          std::bit_cast<std::uint64_t>(warm.level_low.mv());
-
-  table.add_comparison("render cache cold pass", "populates cache",
-                       std::to_string(miss_delta) + " misses, " +
-                           fmt(cold_ms, 1) + " ms",
-                       miss_delta > 0 ? "OK" : "DEVIATES");
-  table.add_comparison("render cache warm pass", "replays cache",
-                       std::to_string(hit_delta) + " hits, " + fmt(warm_ms, 1) +
-                           " ms (" + fmt(speedup, 1) + "x)",
-                       hit_delta == miss_delta ? "OK" : "DEVIATES");
-  table.add_comparison("cache replay identity", "byte-identical metrics",
-                       identical ? "bitwise equal" : "MISMATCH",
-                       identical ? "OK" : "DEVIATES");
 }
 
 }  // namespace mgt::bench

@@ -31,8 +31,5 @@ int main(int argc, char** argv) {
                               bench::EyeSpec{.paper_tj_pp_ps = 46.7,
                                              .paper_opening_ui = 0.88},
                               /*seed=*/42);
-  bench::run_render_cache_report(table,
-                                 core::presets::optical_testbed(GbitsPerSec{2.5}),
-                                 /*seed=*/42);
   return bench::finish(table, argc, argv);
 }

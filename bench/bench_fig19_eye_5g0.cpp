@@ -34,8 +34,5 @@ int main(int argc, char** argv) {
                                              .tj_tolerance_ps = 7.0,
                                              .ui_tolerance = 0.03},
                               /*seed=*/99);
-  bench::run_render_cache_report(table,
-                                 core::presets::minitester(GbitsPerSec{5.0}),
-                                 /*seed=*/99);
   return bench::finish(table, argc, argv);
 }

@@ -5,8 +5,6 @@
 #include <memory>
 
 #include "obs/obs.hpp"
-#include "signal/batch_kernels.hpp"
-#include "signal/render_cache.hpp"
 #include "telemetry/hub.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -125,21 +123,21 @@ void EyeDiagram::on_block(const sig::SampleBlock& block) {
   const double ui = config_.ui.ps();
   const double span = 2.0 * ui;
   // Same subtraction on_sample() performs per sample, hoisted: the result
-  // double is identical, so the kernel transform below is byte-identical
-  // to the per-sample division.
-  const double v_span = config_.v_hi.mv() - config_.v_lo.mv();
-  double vfrac[sig::SampleBlock::kCapacity];
-  sig::kern::scale01(block.v, block.size, config_.v_lo.mv(), v_span, vfrac);
+  // double is identical, so each vfrac below is byte-identical to the
+  // per-sample division.
+  const double v_lo = config_.v_lo.mv();
+  const double v_span = config_.v_hi.mv() - v_lo;
 
   for (std::size_t i = 0; i < block.size; ++i) {
     const double t = block.t[i];
     const double v = block.v[i];
     const double phase2 = positive_mod(t - config_.t_ref.ps(), span);
-    if (vfrac[i] >= 0.0 && vfrac[i] < 1.0) {
+    const double vfrac = (v - v_lo) / v_span;
+    if (vfrac >= 0.0 && vfrac < 1.0) {
       const auto tb = static_cast<std::size_t>(
           phase2 / span * static_cast<double>(config_.time_bins));
       const auto vb = static_cast<std::size_t>(
-          vfrac[i] * static_cast<double>(config_.volt_bins));
+          vfrac * static_cast<double>(config_.volt_bins));
       ++grid_[std::min(tb, config_.time_bins - 1) * config_.volt_bins +
               std::min(vb, config_.volt_bins - 1)];
     }
@@ -269,9 +267,6 @@ EyeDiagram accumulate_eye(const sig::EdgeStream& stream,
   obs::observe("eye.chunk_crossings", 0.0, 4096.0, 64,
                static_cast<double>(out.crossings().size()) /
                    static_cast<double>(n_chunks));
-  // Serial point after the ordered merge: let the render cache advance its
-  // LRU clock and evict deterministically.
-  sig::RenderCache::instance().end_pass();
   telemetry::Hub& hub = telemetry::Hub::instance();
   if (hub.enabled()) {
     // Post-merge tail: these are properties of the merged eye, identical

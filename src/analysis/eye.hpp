@@ -69,9 +69,7 @@ public:
   explicit EyeDiagram(Config config);
 
   void on_sample(Picoseconds t, Millivolts v) override;
-  /// Batched accumulation: the crossing scan and the voltage-to-bin-fraction
-  /// transform run through the SIMD kernels over the SoA arrays; the phase
-  /// fold and center-window statistics stay scalar in sample order. Result
+  /// Batched accumulation over the SoA arrays, in sample order. Result
   /// state is byte-identical to per-sample delivery.
   void on_block(const sig::SampleBlock& block) override;
   void on_context(Picoseconds t, Millivolts v) override;

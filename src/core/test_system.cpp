@@ -10,7 +10,6 @@
 #include "digital/pattern.hpp"
 #include "obs/obs.hpp"
 #include "signal/render.hpp"
-#include "signal/render_cache.hpp"
 #include "signal/sinks.hpp"
 #include "util/error.hpp"
 #include "util/env.hpp"
@@ -68,9 +67,6 @@ Sink accumulate_sink(const core::Stimulus& stimulus, const AcqWindow& window,
   for (std::size_t c = 1; c < n_chunks; ++c) {
     out.merge(*parts[c]);
   }
-  // Serial point after the ordered merge: the render cache's LRU clock and
-  // deterministic eviction both key off pass boundaries.
-  sig::RenderCache::instance().end_pass();
   return out;
 }
 

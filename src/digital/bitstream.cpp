@@ -1,7 +1,6 @@
 #include "digital/bitstream.hpp"
 
-#include <array>
-
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace mgt::dig {
@@ -10,85 +9,54 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x464C4443;  // "CDLF"
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xFF));
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t& pos) {
+/// Bounds-checked sequential read of one little-endian u32.
+std::uint32_t read_u32(const std::vector<std::uint8_t>& in, std::size_t& pos) {
   if (pos + 4 > in.size()) {
     throw Error("bitstream image truncated");
   }
-  const std::uint32_t v = static_cast<std::uint32_t>(in[pos]) |
-                          static_cast<std::uint32_t>(in[pos + 1]) << 8 |
-                          static_cast<std::uint32_t>(in[pos + 2]) << 16 |
-                          static_cast<std::uint32_t>(in[pos + 3]) << 24;
+  const std::uint32_t v = util::get_u32(in.data() + pos);
   pos += 4;
   return v;
 }
 
 }  // namespace
 
-std::uint32_t crc32(const std::vector<std::uint8_t>& data) {
-  static const auto table = make_crc_table();
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::uint8_t byte : data) {
-    c = table[(c ^ byte) & 0xFF] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
-
 std::vector<std::uint8_t> Bitstream::serialize() const {
   std::vector<std::uint8_t> out;
-  put_u32(out, kMagic);
-  put_u32(out, version);
-  put_u32(out, static_cast<std::uint32_t>(design_name.size()));
+  util::put_u32(out, kMagic);
+  util::put_u32(out, version);
+  util::put_u32(out, static_cast<std::uint32_t>(design_name.size()));
   out.insert(out.end(), design_name.begin(), design_name.end());
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  util::put_u32(out, static_cast<std::uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
-  put_u32(out, crc32(out));
+  util::put_u32(out, util::crc32(out));
   return out;
 }
 
 Bitstream Bitstream::deserialize(const std::vector<std::uint8_t>& image) {
   std::size_t pos = 0;
-  if (get_u32(image, pos) != kMagic) {
+  if (read_u32(image, pos) != kMagic) {
     throw Error("bitstream image has bad magic");
   }
   Bitstream bs;
-  bs.version = get_u32(image, pos);
-  const std::uint32_t name_len = get_u32(image, pos);
+  bs.version = read_u32(image, pos);
+  const std::uint32_t name_len = read_u32(image, pos);
   if (pos + name_len > image.size()) {
     throw Error("bitstream image truncated in name");
   }
   bs.design_name.assign(image.begin() + static_cast<std::ptrdiff_t>(pos),
                         image.begin() + static_cast<std::ptrdiff_t>(pos + name_len));
   pos += name_len;
-  const std::uint32_t payload_len = get_u32(image, pos);
+  const std::uint32_t payload_len = read_u32(image, pos);
   if (pos + payload_len > image.size()) {
     throw Error("bitstream image truncated in payload");
   }
   bs.payload.assign(image.begin() + static_cast<std::ptrdiff_t>(pos),
                     image.begin() + static_cast<std::ptrdiff_t>(pos + payload_len));
   pos += payload_len;
-  std::vector<std::uint8_t> covered(image.begin(),
-                                    image.begin() + static_cast<std::ptrdiff_t>(pos));
-  const std::uint32_t stored_crc = get_u32(image, pos);
-  if (crc32(covered) != stored_crc) {
+  const std::uint32_t computed_crc = util::crc32({image.data(), pos});
+  const std::uint32_t stored_crc = read_u32(image, pos);
+  if (computed_crc != stored_crc) {
     throw Error("bitstream CRC mismatch (corrupted FLASH image)");
   }
   return bs;

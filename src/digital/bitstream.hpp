@@ -12,9 +12,6 @@
 
 namespace mgt::dig {
 
-/// CRC-32 (IEEE 802.3, reflected) over a byte span.
-std::uint32_t crc32(const std::vector<std::uint8_t>& data);
-
 /// A configuration image for the DLC's FPGA.
 struct Bitstream {
   std::string design_name;
@@ -24,7 +21,8 @@ struct Bitstream {
 
   /// Serializes to the FLASH image format:
   /// [magic(4) | version(4) | name_len(4) | name | payload_len(4) | payload
-  ///  | crc32(4)], all little-endian. The CRC covers everything before it.
+  ///  | crc32(4)], all little-endian. The CRC (util::crc32) covers
+  /// everything before it.
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
 
   /// Parses and CRC-checks a FLASH image; throws mgt::Error on any

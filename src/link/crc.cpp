@@ -44,16 +44,6 @@ std::uint16_t crc16(const BitVector& bits) {
   return crc;
 }
 
-std::uint8_t crc8(const std::vector<std::uint8_t>& bytes) {
-  std::uint8_t crc = 0x00;
-  for (const std::uint8_t byte : bytes) {
-    for (int b = 7; b >= 0; --b) {
-      crc = crc8_step(crc, ((byte >> b) & 1u) != 0);
-    }
-  }
-  return crc;
-}
-
 std::uint16_t crc16(const std::vector<std::uint8_t>& bytes) {
   std::uint16_t crc = 0xFFFFu;
   for (const std::uint8_t byte : bytes) {

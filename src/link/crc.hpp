@@ -5,8 +5,9 @@
 // field, CRC-16-CCITT (poly 0x1021, init 0xFFFF — the "CCITT-FALSE"
 // variant every serial-link test bench speaks) guards the payload. Both are
 // implemented bit-serially over BitVector so they consume bits in exactly
-// the order the slot transmits them; byte overloads exist for the standard
-// check-vector tests ("123456789" -> 0xF4 / 0x29B1).
+// the order the slot transmits them. The byte-wise CRC-8 is util::crc8
+// (same generator); crc16 keeps a byte overload for the standard
+// check-vector test ("123456789" -> 0x29B1).
 #pragma once
 
 #include <cstdint>
@@ -23,9 +24,8 @@ namespace mgt::link {
 /// CRC-16-CCITT-FALSE, polynomial 0x1021, init 0xFFFF, no reflection.
 [[nodiscard]] std::uint16_t crc16(const BitVector& bits);
 
-/// Byte-wise overloads (each byte fed MSB-first, the standard convention)
-/// so the classic "123456789" check values apply directly.
-[[nodiscard]] std::uint8_t crc8(const std::vector<std::uint8_t>& bytes);
+/// Byte-wise overload (each byte fed MSB-first, the standard convention)
+/// so the classic "123456789" check value applies directly.
 [[nodiscard]] std::uint16_t crc16(const std::vector<std::uint8_t>& bytes);
 
 /// Packs the low `n` bits of `value` into a BitVector, LSB first (matching

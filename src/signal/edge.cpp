@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/digest.hpp"
 #include "util/error.hpp"
 
 namespace mgt::sig {
@@ -180,17 +179,6 @@ bool EdgeStream::well_formed() const {
     level = tr.level;
   }
   return true;
-}
-
-std::uint64_t EdgeStream::content_digest() const {
-  util::Fnv64 f;
-  f.mix_bool(initial_);
-  f.mix_u64(transitions_.size());
-  for (const auto& tr : transitions_) {
-    f.mix_double(tr.time.ps());
-    f.mix_bool(tr.level);
-  }
-  return f.digest();
 }
 
 }  // namespace mgt::sig

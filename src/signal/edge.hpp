@@ -6,7 +6,6 @@
 // and cheap enough for millions of unit intervals.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -89,12 +88,6 @@ public:
 
   /// True if transition times are strictly increasing and levels alternate.
   [[nodiscard]] bool well_formed() const;
-
-  /// FNV-1a digest of the full content (initial level + every transition's
-  /// exact time bits and level). Two streams share a digest only if they
-  /// render identically, which is what content-addressed render caching
-  /// keys on. O(size) per call.
-  [[nodiscard]] std::uint64_t content_digest() const;
 
 private:
   bool initial_ = false;

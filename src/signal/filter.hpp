@@ -54,13 +54,6 @@ public:
   /// Output without advancing time.
   [[nodiscard]] Millivolts output() const;
 
-  /// Stage time constants (read-only view; used for cache keying).
-  [[nodiscard]] const std::vector<double>& taus() const { return taus_; }
-  /// Gain reference midpoint (for cache keying alongside gain()).
-  [[nodiscard]] Millivolts midpoint() const {
-    return Millivolts{midpoint_mv_};
-  }
-
 private:
   /// Returns the per-stage alphas 1 - exp(-dt/tau) for this dt, computing
   /// and memoizing the row on first sight of the dt value. The renderer

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/obs.hpp"
-#include "signal/render_cache.hpp"
 #include "telemetry/hub.hpp"
 #include "util/error.hpp"
 
@@ -203,7 +202,7 @@ void render_chunk(const EdgeStream& stream, FilterChain chain,
   // configured depth: the sample at k0-1 doubles as the on_context() sample,
   // and without it pairwise sinks would silently drop every adjacent pair
   // straddling a chunk boundary (the settle_samples=0 regression in
-  // tests/test_simd_equiv.cpp). The configured depth remains the accuracy
+  // tests/test_render_equiv.cpp). The configured depth remains the accuracy
   // knob for chain-state convergence.
   const std::size_t settle =
       chunk_index == 0
@@ -214,32 +213,7 @@ void render_chunk(const EdgeStream& stream, FilterChain chain,
   obs::add_counter("render.chunks");
   obs::add_counter("render.chunk_samples", k1 - k0);
 
-  RenderCache& cache = RenderCache::instance();
-  if (!cache.enabled()) {
-    run_window(stream, chain, config, t_begin, k0 - settle, k0, k1, sinks);
-    return;
-  }
-  RenderCacheKey key;
-  key.stream_digest = stream.content_digest();
-  key.chain_digest = render_cache_chain_digest(chain);
-  key.voh = config.levels.voh;
-  key.vol = config.levels.vol;
-  key.sample_step = config.sample_step;
-  key.t_begin = t_begin;
-  key.k_emit = k0;
-  key.k_end = k1;
-  key.settle = settle;
-  if (cache.replay(key, config, sinks)) {
-    return;
-  }
-  // Miss: render with a recording tee appended so the chunk is admitted
-  // for the next identical render. The tee changes nothing the real sinks
-  // see — run_window treats it as one more sink.
-  RecordingSink recorder;
-  std::vector<WaveformSink*> tee = sinks;
-  tee.push_back(&recorder);
-  run_window(stream, chain, config, t_begin, k0 - settle, k0, k1, tee);
-  cache.insert(key, recorder);
+  run_window(stream, chain, config, t_begin, k0 - settle, k0, k1, sinks);
 }
 
 }  // namespace mgt::sig

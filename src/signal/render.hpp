@@ -12,15 +12,37 @@
 // error (sub-0.01 ps at the default 0.5 ps step).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
-#include "signal/batch.hpp"
 #include "signal/edge.hpp"
 #include "signal/filter.hpp"
 #include "signal/levels.hpp"
 #include "util/units.hpp"
 
 namespace mgt::sig {
+
+/// One batch of rendered grid samples in structure-of-arrays layout. The
+/// renderer fills fixed-capacity blocks and hands whole blocks to sinks
+/// instead of one virtual call per grid sample. Times are picoseconds,
+/// voltages millivolts: the same doubles on_sample() carries.
+struct SampleBlock {
+  /// Samples per block. Two arrays of 512 doubles (8 KiB) stay resident in
+  /// L1 while a sink's per-block loops run.
+  static constexpr std::size_t kCapacity = 512;
+
+  std::size_t size = 0;
+  double t[kCapacity];  // sample times, ps, strictly increasing
+  double v[kCapacity];  // rendered voltages, mV
+
+  [[nodiscard]] bool full() const { return size == kCapacity; }
+  void clear() { size = 0; }
+  void push(double t_sample, double v_sample) {
+    t[size] = t_sample;
+    v[size] = v_sample;
+    ++size;
+  }
+};
 
 /// Consumer of rendered waveform samples.
 class WaveformSink {

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 
-#include "signal/batch_kernels.hpp"
 #include "util/error.hpp"
 
 namespace mgt::sig {
@@ -38,25 +36,23 @@ void CrossingRecorder::on_block(const SampleBlock& block) {
     prev_v_ = block.v[0];
     have_prev_ = true;
     first = 1;
-    if (block.size == 1) {
-      return;
-    }
   }
-  std::uint32_t straddle[SampleBlock::kCapacity];
-  const std::size_t count = kern::find_straddles(
-      prev_v_, block.v + first, block.size - first, th, straddle);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t j = first + straddle[i];
-    const double pt = j == first ? prev_t_ : block.t[j - 1];
-    const double pv = j == first ? prev_v_ : block.v[j - 1];
-    if (block.v[j] != pv) {
-      const double frac = (th - pv) / (block.v[j] - pv);
-      const double tc = pt + frac * (block.t[j] - pt);
-      crossings_.push_back({Picoseconds{tc}, pv < th});
+  // The pair state lives in locals for the scan; the predicate and the
+  // interpolation are on_sample()'s, so the crossing list is identical.
+  double pt = prev_t_;
+  double pv = prev_v_;
+  for (std::size_t i = first; i < block.size; ++i) {
+    const double t = block.t[i];
+    const double v = block.v[i];
+    if ((pv < th) != (v < th) && v != pv) {
+      const double frac = (th - pv) / (v - pv);
+      crossings_.push_back({Picoseconds{pt + frac * (t - pt)}, pv < th});
     }
+    pt = t;
+    pv = v;
   }
-  prev_t_ = block.t[block.size - 1];
-  prev_v_ = block.v[block.size - 1];
+  prev_t_ = pt;
+  prev_v_ = pv;
 }
 
 void CrossingRecorder::on_context(Picoseconds t, Millivolts v) {
@@ -186,16 +182,11 @@ void AmplitudeTracker::on_block(const SampleBlock& block) {
   if (block.size == 0) {
     return;
   }
-  // Extremes are order-independent, so they vectorize; the slope-gated
-  // Welford accumulation below must stay in sample order.
-  double mn = 0.0;
-  double mx = 0.0;
-  kern::range_minmax(block.v, block.size, &mn, &mx);
-  max_ = std::max(max_, mx);
-  min_ = std::min(min_, mn);
   for (std::size_t i = 0; i < block.size; ++i) {
     const double t = block.t[i];
     const double v = block.v[i];
+    max_ = std::max(max_, v);
+    min_ = std::min(min_, v);
     if (have_prev_) {
       const double dt = t - prev_t_;
       const double slope = dt > 0.0 ? std::abs(v - prev_v_) / dt : 0.0;

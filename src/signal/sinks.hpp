@@ -29,9 +29,8 @@ public:
   explicit CrossingRecorder(Millivolts threshold) : threshold_(threshold) {}
 
   void on_sample(Picoseconds t, Millivolts v) override;
-  /// Batched scan: the straddle search runs through the SIMD kernels over
-  /// the SoA arrays; interpolation at each straddle stays scalar in sample
-  /// order, so the crossing list is byte-identical to per-sample delivery.
+  /// Batched scan over the SoA arrays; the crossing list is byte-identical
+  /// to per-sample delivery.
   void on_block(const SampleBlock& block) override;
   void on_context(Picoseconds t, Millivolts v) override;
 
@@ -131,9 +130,8 @@ public:
                             MvPerPs slope_limit = MvPerPs{0.5});
 
   void on_sample(Picoseconds t, Millivolts v) override;
-  /// Batched: min/max go through the SIMD kernels (order-independent and
-  /// exact); the slope-gated Welford statistics stay scalar in sample order
-  /// so the result is byte-identical to per-sample delivery.
+  /// Batched loop over the SoA arrays, in sample order, so the result is
+  /// byte-identical to per-sample delivery.
   void on_block(const SampleBlock& block) override;
   void on_context(Picoseconds t, Millivolts v) override;
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "obs/obs.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace mgt::telemetry {
@@ -125,7 +126,7 @@ void Decoder::process(bool at_end) {
       continue;
     }
     const std::uint8_t* h = buf + pos;
-    if (crc8(h, kHeaderBytes - 1) != h[kHeaderBytes - 1]) {
+    if (util::crc8({h, kHeaderBytes - 1}) != h[kHeaderBytes - 1]) {
       // Header corrupt: nothing in it (including the length) can be
       // trusted, so resume the hunt one byte in.
       reject(DecodeError::kHeaderCrc);
@@ -136,10 +137,10 @@ void Decoder::process(bool at_end) {
     PacketHeader header;
     header.version = h[4];
     header.type = h[5];
-    header.stream_id = get_u16(h + 6);
-    header.sequence = get_u32(h + 8);
-    header.tick = get_u64(h + 12);
-    header.payload_len = get_u32(h + 20);
+    header.stream_id = util::get_u16(h + 6);
+    header.sequence = util::get_u32(h + 8);
+    header.tick = util::get_u64(h + 12);
+    header.payload_len = util::get_u32(h + 20);
 
     if (header.payload_len > config_.max_payload_bytes) {
       // The length passed CRC but exceeds our ceiling: reject before
@@ -172,8 +173,8 @@ void Decoder::process(bool at_end) {
       continue;
     }
     const std::uint8_t* payload = h + kHeaderBytes;
-    const std::uint32_t want = get_u32(payload + header.payload_len);
-    if (crc32(payload, header.payload_len) != want) {
+    const std::uint32_t want = util::get_u32(payload + header.payload_len);
+    if (util::crc32({payload, header.payload_len}) != want) {
       // Corrupted payload: the framing may be a lie (a spliced header over
       // foreign bytes), so rescan instead of trusting the length.
       reject(DecodeError::kPayloadCrc);

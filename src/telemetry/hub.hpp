@@ -104,8 +104,8 @@ private:
   StreamEncoder plans_;
 };
 
-/// RAII override of the MGT_TELEMETRY gate, mirroring ScopedRenderCache /
-/// ScopedThreads so tests can exercise both sides of the knob.
+/// RAII override of the MGT_TELEMETRY gate, mirroring ScopedThreads so
+/// tests can exercise both sides of the knob.
 class ScopedTelemetry {
 public:
   explicit ScopedTelemetry(bool on);

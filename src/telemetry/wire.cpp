@@ -1,8 +1,8 @@
 #include "telemetry/wire.hpp"
 
-#include <array>
 #include <bit>
 
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace mgt::telemetry {
@@ -25,53 +25,7 @@ bool valid_type(std::uint8_t raw) {
          raw == static_cast<std::uint8_t>(PacketType::kPlanSummary);
 }
 
-// ------------------------------------------------------------- byte layer --
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFFu));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int byte = 0; byte < 4; ++byte) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * byte)) & 0xFFu));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * byte)) & 0xFFu));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] |
-                                    (static_cast<std::uint16_t>(p[1]) << 8));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int byte = 3; byte >= 0; --byte) {
-    v = (v << 8) | p[byte];
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int byte = 7; byte >= 0; --byte) {
-    v = (v << 8) | p[byte];
-  }
-  return v;
-}
+// ------------------------------------------------------------ byte reader --
 
 bool ByteReader::take(std::size_t n) {
   if (!ok_ || n > size_ - pos_) {
@@ -92,7 +46,7 @@ std::uint16_t ByteReader::u16() {
   if (!take(2)) {
     return 0;
   }
-  const std::uint16_t v = get_u16(data_ + pos_);
+  const std::uint16_t v = util::get_u16(data_ + pos_);
   pos_ += 2;
   return v;
 }
@@ -101,7 +55,7 @@ std::uint32_t ByteReader::u32() {
   if (!take(4)) {
     return 0;
   }
-  const std::uint32_t v = get_u32(data_ + pos_);
+  const std::uint32_t v = util::get_u32(data_ + pos_);
   pos_ += 4;
   return v;
 }
@@ -110,7 +64,7 @@ std::uint64_t ByteReader::u64() {
   if (!take(8)) {
     return 0;
   }
-  const std::uint64_t v = get_u64(data_ + pos_);
+  const std::uint64_t v = util::get_u64(data_ + pos_);
   pos_ += 8;
   return v;
 }
@@ -125,46 +79,6 @@ bool ByteReader::bytes(std::size_t n, std::string& out) {
   out.assign(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += n;
   return true;
-}
-
-// ------------------------------------------------------------------- CRCs --
-
-std::uint8_t crc8(const std::uint8_t* data, std::size_t n) {
-  std::uint8_t crc = 0x00;
-  for (std::size_t i = 0; i < n; ++i) {
-    crc ^= data[i];
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 0x80u) != 0
-                ? static_cast<std::uint8_t>((crc << 1) ^ 0x07u)
-                : static_cast<std::uint8_t>(crc << 1);
-    }
-  }
-  return crc;
-}
-
-namespace {
-
-std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) != 0 ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-}  // namespace
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
-  static const std::array<std::uint32_t, 256> kTable = make_crc32_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = kTable[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
 }
 
 // ---------------------------------------------------------------- records --
@@ -202,13 +116,13 @@ PacketType Record::type() const {
 namespace {
 
 void encode_waveform(const WaveformChunk& wf, std::vector<std::uint8_t>& out) {
-  put_u16(out, wf.channel);
-  put_u32(out, wf.decimation);
-  put_f64(out, wf.t0_ps);
-  put_f64(out, wf.dt_ps);
-  put_u32(out, static_cast<std::uint32_t>(wf.samples.size()));
+  util::put_u16(out, wf.channel);
+  util::put_u32(out, wf.decimation);
+  util::put_f64(out, wf.t0_ps);
+  util::put_f64(out, wf.dt_ps);
+  util::put_u32(out, static_cast<std::uint32_t>(wf.samples.size()));
   for (const double s : wf.samples) {
-    put_f64(out, s);
+    util::put_f64(out, s);
   }
 }
 
@@ -231,14 +145,14 @@ bool decode_waveform(ByteReader& in, WaveformChunk& wf) {
 }
 
 void encode_metrics(const MetricSnapshot& ms, std::vector<std::uint8_t>& out) {
-  put_u32(out, static_cast<std::uint32_t>(ms.entries.size()));
+  util::put_u32(out, static_cast<std::uint32_t>(ms.entries.size()));
   for (const MetricEntry& e : ms.entries) {
-    put_u8(out, e.kind);
-    put_u16(out, static_cast<std::uint16_t>(e.name.size()));
+    util::put_u8(out, e.kind);
+    util::put_u16(out, static_cast<std::uint16_t>(e.name.size()));
     for (const char c : e.name) {
       out.push_back(static_cast<std::uint8_t>(c));
     }
-    put_u64(out, e.bits);
+    util::put_u64(out, e.bits);
   }
 }
 
@@ -272,23 +186,23 @@ bool decode_metrics(ByteReader& in, MetricSnapshot& ms) {
 }
 
 void encode_plan(const PlanSummary& ps, std::vector<std::uint8_t>& out) {
-  put_u64(out, ps.plan_id);
-  put_u8(out, ps.kind);
-  put_u8(out, ps.outcome);
-  put_u16(out, static_cast<std::uint16_t>(ps.tenant.size()));
+  util::put_u64(out, ps.plan_id);
+  util::put_u8(out, ps.kind);
+  util::put_u8(out, ps.outcome);
+  util::put_u16(out, static_cast<std::uint16_t>(ps.tenant.size()));
   for (const char c : ps.tenant) {
     out.push_back(static_cast<std::uint8_t>(c));
   }
-  put_u32(out, ps.shards);
-  put_u32(out, ps.shards_completed);
-  put_u32(out, ps.shards_abandoned);
-  put_u64(out, ps.chunks_completed);
-  put_u64(out, ps.chunks_retried);
-  put_u64(out, ps.chunks_abandoned);
-  put_u64(out, ps.admitted_tick);
-  put_u64(out, ps.finished_tick);
-  put_u8(out, ps.deadline_exceeded);
-  put_u64(out, ps.digest);
+  util::put_u32(out, ps.shards);
+  util::put_u32(out, ps.shards_completed);
+  util::put_u32(out, ps.shards_abandoned);
+  util::put_u64(out, ps.chunks_completed);
+  util::put_u64(out, ps.chunks_retried);
+  util::put_u64(out, ps.chunks_abandoned);
+  util::put_u64(out, ps.admitted_tick);
+  util::put_u64(out, ps.finished_tick);
+  util::put_u8(out, ps.deadline_exceeded);
+  util::put_u64(out, ps.digest);
 }
 
 bool decode_plan(ByteReader& in, PlanSummary& ps) {
@@ -366,15 +280,15 @@ void encode_packet(const Record& record, std::uint16_t stream_id,
 
   const std::size_t header_at = out.size();
   out.insert(out.end(), kMagic, kMagic + 4);
-  put_u8(out, kWireVersion);
-  put_u8(out, static_cast<std::uint8_t>(record.type()));
-  put_u16(out, stream_id);
-  put_u32(out, sequence);
-  put_u64(out, record.tick);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u8(out, crc8(out.data() + header_at, kHeaderBytes - 1));
+  util::put_u8(out, kWireVersion);
+  util::put_u8(out, static_cast<std::uint8_t>(record.type()));
+  util::put_u16(out, stream_id);
+  util::put_u32(out, sequence);
+  util::put_u64(out, record.tick);
+  util::put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  util::put_u8(out, util::crc8({out.data() + header_at, kHeaderBytes - 1}));
   out.insert(out.end(), payload.begin(), payload.end());
-  put_u32(out, crc32(payload.data(), payload.size()));
+  util::put_u32(out, util::crc32(payload));
 }
 
 std::vector<std::uint8_t> encode_packet(const Record& record,

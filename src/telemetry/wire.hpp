@@ -7,7 +7,8 @@
 // share; encoder.hpp and decoder.hpp build the buffered endpoints on top.
 //
 // Packet layout (all multi-byte fields little-endian, written through the
-// explicit byte-swap layer below — the format is identical on every host):
+// explicit byte layer in util/bytes.hpp — the format is identical on every
+// host):
 //
 //   offset  size  field
 //   0       4     magic 'M' 'G' 'T' '~'
@@ -64,20 +65,7 @@ enum class PacketType : std::uint8_t {
 [[nodiscard]] std::string_view to_string(PacketType type);
 [[nodiscard]] bool valid_type(std::uint8_t raw);
 
-// ------------------------------------------------------------- byte layer --
-// Explicit little-endian serialization: bytes are composed/decomposed
-// arithmetically, so the wire image is host-endianness independent.
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v);
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v);
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v);
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v);
-/// Doubles travel as their IEEE-754 bit pattern (exact round-trip).
-void put_f64(std::vector<std::uint8_t>& out, double v);
-
-[[nodiscard]] std::uint16_t get_u16(const std::uint8_t* p);
-[[nodiscard]] std::uint32_t get_u32(const std::uint8_t* p);
-[[nodiscard]] std::uint64_t get_u64(const std::uint8_t* p);
+// ------------------------------------------------------------ byte reader --
 
 /// Bounds-checked sequential reader: any overrun latches !ok() and every
 /// subsequent read returns zero, so payload codecs are total by
@@ -106,17 +94,6 @@ private:
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
-
-// ------------------------------------------------------------------- CRCs --
-
-/// CRC-8, polynomial 0x07 (ATM HEC), init 0x00, MSB-first. Guards the
-/// header, matching the link layer's short-field generator choice.
-[[nodiscard]] std::uint8_t crc8(const std::uint8_t* data, std::size_t n);
-
-/// CRC-32 (IEEE 802.3, reflected, init/final 0xFFFFFFFF). Guards the
-/// payload: at telemetry packet sizes a 16-bit check would pass one in
-/// 65k corrupted payloads in a long soak, so the payload gets 32 bits.
-[[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t n);
 
 // ---------------------------------------------------------------- records --
 

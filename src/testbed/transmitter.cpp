@@ -3,6 +3,7 @@
 #include <string>
 
 #include "digital/bitstream.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -67,20 +68,14 @@ void OpticalTransmitter::program_channel(std::uint32_t channel,
   // Stream the whole bank in one bulk transfer: [channel | bits | words].
   std::vector<std::uint8_t> payload;
   payload.reserve(8 + (bits.size() + 31) / 32 * 4);
-  auto put_u32 = [&](std::uint32_t v) {
-    payload.push_back(static_cast<std::uint8_t>(v & 0xFF));
-    payload.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-    payload.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
-    payload.push_back(static_cast<std::uint8_t>((v >> 24) & 0xFF));
-  };
-  put_u32(channel);
-  put_u32(static_cast<std::uint32_t>(bits.size()));
+  util::put_u32(payload, channel);
+  util::put_u32(payload, static_cast<std::uint32_t>(bits.size()));
   for (std::size_t w = 0; w * 32 < bits.size(); ++w) {
     std::uint32_t word = 0;
     for (std::size_t b = 0; b < 32 && w * 32 + b < bits.size(); ++b) {
       word |= static_cast<std::uint32_t>(bits.get(w * 32 + b)) << b;
     }
-    put_u32(word);
+    util::put_u32(payload, word);
   }
   usb_host_.bulk_write(1, payload);
 }

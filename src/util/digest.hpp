@@ -1,7 +1,7 @@
 // FNV-1a 64-bit content digests.
 //
-// Used for content-addressed keys (the render cache) and cheap structural
-// fingerprints. Deterministic across processes and platforms: the digest is
+// Used for cheap structural fingerprints (service replay digests, result
+// checks). Deterministic across processes and platforms: the digest is
 // a pure function of the mixed-in bytes, with doubles folded in by bit
 // pattern so two values collide only when they are the same double.
 #pragma once
@@ -23,8 +23,8 @@ public:
 
   void mix_bool(bool b) { mix_u64(b ? 1 : 0); }
 
-  /// Folds in the exact bit pattern (distinguishes -0.0 from +0.0, which is
-  /// the conservative choice for cache keys).
+  /// Folds in the exact bit pattern (distinguishes -0.0 from +0.0, so two
+  /// fingerprints match only on bit-identical results).
   void mix_double(double d) { mix_u64(std::bit_cast<std::uint64_t>(d)); }
 
   [[nodiscard]] std::uint64_t digest() const { return h_; }

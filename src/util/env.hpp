@@ -19,7 +19,7 @@
 
 namespace mgt::util {
 
-/// Strict parse of a positive integer knob (e.g. MGT_RENDER_CACHE_MB).
+/// Strict parse of a positive integer knob (e.g. MGT_TELEMETRY_DECIM).
 /// nullptr/empty mean "unset" and return nullopt WITHOUT counting a
 /// rejection; trailing garbage ("64x"), negatives, zero when `min` > 0,
 /// non-digits and out-of-range magnitudes are malformed. Pure.
@@ -27,15 +27,15 @@ std::optional<std::uint64_t> parse_env_u64(const char* raw,
                                            std::uint64_t min = 1,
                                            std::uint64_t max = ~0ULL);
 
-/// Strict parse of an on/off knob (e.g. MGT_RENDER_CACHE, MGT_OBS).
+/// Strict parse of an on/off knob (e.g. MGT_TELEMETRY, MGT_OBS).
 /// Accepts exactly "0"/"off"/"false" (false) and "1"/"on"/"true" (true);
 /// nullptr/empty mean "unset". Anything else is malformed. Pure.
 std::optional<bool> parse_env_flag(const char* raw);
 
-/// Strict parse of a size-in-mebibytes knob (MGT_RENDER_CACHE_MB,
-/// MGT_TELEMETRY_BUF_MB): the digits-only grammar of parse_env_u64 with
-/// the MB→bytes conversion applied and overflow-checked, so every size
-/// knob shares one grammar and one failure mode. Returns BYTES.
+/// Strict parse of a size-in-mebibytes knob (MGT_TELEMETRY_BUF_MB): the
+/// digits-only grammar of parse_env_u64 with the MB→bytes conversion
+/// applied and overflow-checked, so every size knob shares one grammar and
+/// one failure mode. Returns BYTES.
 /// `min_mb`/`max_mb` bound the accepted value in MB; values whose byte
 /// count would overflow 64 bits are malformed. Pure.
 std::optional<std::uint64_t> parse_env_size_mb(
@@ -74,9 +74,9 @@ EnvValue<bool> env_flag(const char* name);
 EnvValue<std::uint64_t> env_size_mb(const char* name, std::uint64_t min_mb = 1,
                                     std::uint64_t max_mb = (~0ULL) >> 20);
 
-/// Records a rejection decided by a domain-specific parser (e.g. MGT_SIMD's
-/// backend-name parse in sig::parse_simd_backend) so every knob feeds the
-/// same rejection total regardless of its value grammar.
+/// Records a rejection decided by a domain-specific parser (e.g. the
+/// MGT_TIMING_MODE name parse) so every knob feeds the same rejection total
+/// regardless of its value grammar.
 void note_env_rejection(const char* name);
 
 /// How many environment knob values were rejected by env_u64/env_flag in

@@ -13,6 +13,7 @@
 #include "digital/pattern.hpp"
 #include "digital/registers.hpp"
 #include "digital/usb.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -182,7 +183,7 @@ TEST(Crc32, KnownVector) {
   // CRC-32 of "123456789" is 0xCBF43926.
   const std::vector<std::uint8_t> data = {'1', '2', '3', '4', '5',
                                           '6', '7', '8', '9'};
-  EXPECT_EQ(crc32(data), 0xCBF43926u);
+  EXPECT_EQ(util::crc32(data), 0xCBF43926u);
 }
 
 // ---------------------------------------------------------------- flash --

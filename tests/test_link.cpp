@@ -28,6 +28,7 @@
 #include "link/link.hpp"
 #include "link/sync.hpp"
 #include "testbed/testbed.hpp"
+#include "util/bytes.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -85,7 +86,7 @@ LinkChannel make_channel(const FaultPlan& plan, LinkChannel::Config config = {})
 TEST(LinkCrc, StandardCheckVectors) {
   const std::vector<std::uint8_t> check = {'1', '2', '3', '4', '5',
                                            '6', '7', '8', '9'};
-  EXPECT_EQ(link::crc8(check), 0xF4);
+  EXPECT_EQ(util::crc8(check), 0xF4);
   EXPECT_EQ(link::crc16(check), 0x29B1);
 }
 

@@ -22,7 +22,6 @@
 #include "minitester/array.hpp"
 #include "obs/benchjson.hpp"
 #include "obs/obs.hpp"
-#include "signal/render_cache.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
@@ -338,11 +337,6 @@ void run_workload() {
 std::string snapshot_at(std::size_t threads) {
   util::ScopedThreads scoped(threads);
   obs::registry().reset();
-  // Snapshot determinism means "pure function of the workload": world state
-  // the workload reads must also be identical per run, so drop the render
-  // cache the previous repetition populated (its hit/miss counters are in
-  // the snapshot and would legitimately differ on a warm cache).
-  sig::RenderCache::instance().clear();
   run_workload();
   return obs::registry().snapshot();
 }

@@ -19,9 +19,7 @@
 #include "minitester/dut.hpp"
 #include "pecl/delayline.hpp"
 #include "pecl/mux.hpp"
-#include "signal/batch.hpp"
 #include "signal/render.hpp"
-#include "signal/render_cache.hpp"
 #include "signal/sinks.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -388,11 +386,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StatsMerge,
                          ::testing::Range<std::uint64_t>(40, 52));
 
 // ---------------------------------------------------------------------------
-// Property: for ANY randomly drawn engine configuration, the batched /
-// cached / chunked / parallel render pipeline is byte-identical to the
-// scalar, cache-off, serial reference. Failures shrink greedily to a
-// minimal failing configuration, printed on one line so it can be pasted
-// straight into a regression test.
+// Property: for ANY randomly drawn engine configuration, the chunked /
+// parallel render pipeline is byte-identical to the serial reference.
+// Failures shrink greedily to a minimal failing configuration, printed on
+// one line so it can be pasted straight into a regression test.
 // ---------------------------------------------------------------------------
 
 /// One randomly drawn engine configuration (everything the pipelines vary).
@@ -488,27 +485,18 @@ ana::EyeDiagram property_eye(const EngineConfig& c,
       Picoseconds{static_cast<double>(c.n_bits) * c.ui_ps}, eye_cfg, chunking);
 }
 
-/// Property 1: for a FIXED chunk decomposition, the full pipeline (active
-/// SIMD backend, cache on — cold then warm — parallel) is byte-identical
-/// to the reference (forced scalar, cache off, serial). Holds at ANY
-/// settle depth, including the drawn settle_samples == 0.
+/// Property 1: for a FIXED chunk decomposition, the pipeline run at the
+/// drawn worker count is byte-identical to the serial reference. Holds at
+/// ANY settle depth, including the drawn settle_samples == 0.
 bool pipeline_equivalence_holds(const EngineConfig& c) {
   const sig::RenderChunking chunking{c.chunk_samples, c.settle_samples};
   std::vector<std::uint64_t> reference;
   {
-    sig::ScopedSimdBackend scalar(sig::SimdBackend::kScalar);
-    sig::ScopedRenderCache cache_off(false);
     util::ScopedThreads serial(0);
     reference = eye_bits_fingerprint(property_eye(c, chunking));
   }
-  sig::ScopedSimdBackend best(sig::compiled_backend());
-  sig::ScopedRenderCache cache_on(true);
   util::ScopedThreads threads(c.threads);
-  sig::RenderCache::instance().clear();
-  const auto cold = eye_bits_fingerprint(property_eye(c, chunking));
-  const auto warm = eye_bits_fingerprint(property_eye(c, chunking));
-  sig::RenderCache::instance().clear();
-  return cold == reference && warm == reference;
+  return eye_bits_fingerprint(property_eye(c, chunking)) == reference;
 }
 
 /// Property 2: at the DEFAULT settle depth (hundreds of time constants for
@@ -516,7 +504,6 @@ bool pipeline_equivalence_holds(const EngineConfig& c) {
 /// single-pass render. Shallower settles are documented approximations and
 /// are covered by property 1 only.
 bool decomposition_equivalence_holds(const EngineConfig& c) {
-  sig::ScopedRenderCache cache_off(false);
   util::ScopedThreads serial(0);
   const auto whole = eye_bits_fingerprint(
       property_eye(c, sig::RenderChunking{1u << 26, 32768}));
@@ -605,7 +592,7 @@ TEST_P(PipelineEquivalence, RandomConfigsRoundTripByteIdentically) {
   for (int i = 0; i < 4; ++i) {
     const EngineConfig config = draw_config(rng);
     expect_property(pipeline_equivalence_holds, config,
-                    "SIMD/cache/threads pipeline equivalence");
+                    "serial/threads pipeline equivalence");
     if (HasFatalFailure()) {
       return;
     }

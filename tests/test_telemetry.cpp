@@ -27,12 +27,13 @@
 #include "signal/edge.hpp"
 #include "signal/filter.hpp"
 #include "signal/render.hpp"
-#include "signal/render_cache.hpp"
+#include "signal/sinks.hpp"
 #include "telemetry/channel.hpp"
 #include "telemetry/decoder.hpp"
 #include "telemetry/encoder.hpp"
 #include "telemetry/hub.hpp"
 #include "telemetry/wire.hpp"
+#include "util/bytes.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -292,23 +293,23 @@ TEST(TelemetryWire, HeaderLayoutIsTheDocumentedLittleEndianImage) {
   // Little-endian stream id, sequence, tick, payload length.
   EXPECT_EQ(p[6], 0xEF);
   EXPECT_EQ(p[7], 0xBE);
-  EXPECT_EQ(telemetry::get_u32(p.data() + 8), 0x01020304u);
-  EXPECT_EQ(telemetry::get_u64(p.data() + 12), 0x1122334455667788ull);
-  const std::uint32_t payload_len = telemetry::get_u32(p.data() + 20);
+  EXPECT_EQ(util::get_u32(p.data() + 8), 0x01020304u);
+  EXPECT_EQ(util::get_u64(p.data() + 12), 0x1122334455667788ull);
+  const std::uint32_t payload_len = util::get_u32(p.data() + 20);
   EXPECT_EQ(p.size(),
             telemetry::kHeaderBytes + payload_len + telemetry::kTrailerBytes);
   // Self-checking header and payload trailer.
-  EXPECT_EQ(p[24], telemetry::crc8(p.data(), telemetry::kHeaderBytes - 1));
-  EXPECT_EQ(telemetry::get_u32(p.data() + telemetry::kHeaderBytes + payload_len),
-            telemetry::crc32(p.data() + telemetry::kHeaderBytes, payload_len));
+  EXPECT_EQ(p[24], util::crc8({p.data(), telemetry::kHeaderBytes - 1}));
+  EXPECT_EQ(util::get_u32(p.data() + telemetry::kHeaderBytes + payload_len),
+            util::crc32({p.data() + telemetry::kHeaderBytes, payload_len}));
 }
 
 TEST(TelemetryWire, CrcReferenceVectors) {
   const std::uint8_t check[9] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   // CRC-32/ISO-HDLC ("123456789") and CRC-8 poly 0x07 reference values.
-  EXPECT_EQ(telemetry::crc32(check, 9), 0xCBF43926u);
-  EXPECT_EQ(telemetry::crc8(check, 9), 0xF4u);
-  EXPECT_EQ(telemetry::crc32(nullptr, 0), 0x00000000u);
+  EXPECT_EQ(util::crc32(check), 0xCBF43926u);
+  EXPECT_EQ(util::crc8(check), 0xF4u);
+  EXPECT_EQ(util::crc32({}), 0x00000000u);
 }
 
 TEST(TelemetryWire, PayloadCodecsRoundTripEveryRecordType) {
@@ -339,11 +340,11 @@ TEST(TelemetryWire, PayloadCodecsRejectStructuralLies) {
   // A sample count promising more than the payload holds must fail the
   // pre-check, not reserve a hostile amount.
   std::vector<std::uint8_t> lie;
-  telemetry::put_u16(lie, 0);
-  telemetry::put_u32(lie, 1);
-  telemetry::put_f64(lie, 0.0);
-  telemetry::put_f64(lie, 0.0);
-  telemetry::put_u32(lie, 0xFFFFFFFFu);  // count: 4 billion samples
+  util::put_u16(lie, 0);
+  util::put_u32(lie, 1);
+  util::put_f64(lie, 0.0);
+  util::put_f64(lie, 0.0);
+  util::put_u32(lie, 0xFFFFFFFFu);  // count: 4 billion samples
   EXPECT_FALSE(telemetry::decode_payload(PacketType::kWaveformChunk,
                                          lie.data(), lie.size(), scratch));
   // Metric entries with an unknown kind byte are rejected.
@@ -465,10 +466,10 @@ TEST(TelemetryResync, OneCorruptPayloadLosesOnlyThatPacket) {
   // Find packet 3's start and flip a payload byte (past the header).
   std::size_t offset = 0;
   for (int skip = 0; skip < 3; ++skip) {
-    const std::uint32_t len = telemetry::get_u32(bytes.data() + offset + 20);
+    const std::uint32_t len = util::get_u32(bytes.data() + offset + 20);
     offset += telemetry::packet_bytes(len);
   }
-  const std::uint32_t len3 = telemetry::get_u32(bytes.data() + offset + 20);
+  const std::uint32_t len3 = util::get_u32(bytes.data() + offset + 20);
   ASSERT_GT(len3, 0u) << "regenerate: packet 3 needs a payload to corrupt";
   bytes[offset + telemetry::kHeaderBytes + len3 / 2] ^= 0x40;
 
@@ -490,7 +491,7 @@ TEST(TelemetryResync, VersionSkewSkipsWholePacketAndContinues) {
   // Bump packet 0's version and re-seal its header CRC: a structurally
   // valid packet from a future version.
   bytes[4] = telemetry::kWireVersion + 1;
-  bytes[24] = telemetry::crc8(bytes.data(), telemetry::kHeaderBytes - 1);
+  bytes[24] = util::crc8({bytes.data(), telemetry::kHeaderBytes - 1});
 
   Decoder decoder(Decoder::Config{},
                   [](const PacketHeader&, const Record&) {});
@@ -513,7 +514,7 @@ TEST(TelemetryResync, OversizedLengthClaimIsRejectedBeforeBuffering) {
   bytes[21] = static_cast<std::uint8_t>((hostile >> 8) & 0xFF);
   bytes[22] = static_cast<std::uint8_t>((hostile >> 16) & 0xFF);
   bytes[23] = static_cast<std::uint8_t>((hostile >> 24) & 0xFF);
-  bytes[24] = telemetry::crc8(bytes.data(), telemetry::kHeaderBytes - 1);
+  bytes[24] = util::crc8({bytes.data(), telemetry::kHeaderBytes - 1});
 
   Decoder::Config config;
   config.max_payload_bytes = kFuzzMaxPayload;
@@ -564,8 +565,8 @@ TEST(TelemetryBackpressure, ShedsOldestFirstWithExactAccounting) {
   std::vector<std::uint64_t> ticks;
   std::vector<std::uint32_t> sequences;
   const std::size_t emitted = enc.drain([&](std::vector<std::uint8_t>&& p) {
-    ticks.push_back(telemetry::get_u64(p.data() + 12));
-    sequences.push_back(telemetry::get_u32(p.data() + 8));
+    ticks.push_back(util::get_u64(p.data() + 12));
+    sequences.push_back(util::get_u32(p.data() + 8));
   });
   EXPECT_EQ(emitted, 4u);
   EXPECT_EQ(ticks, (std::vector<std::uint64_t>{6, 7, 8, 9}));
@@ -706,9 +707,9 @@ eye_workload_with_telemetry() {
       sig::RenderChunking{4096, 2048});
 
   // A direct serial render exercises the waveform tap.
-  sig::RecordingSink record;
+  sig::WaveformTrace trace;
   sig::render(stream, chain, sig::RenderConfig{}, Picoseconds{0},
-              Picoseconds{8 * ui.ps()}, {&record});
+              Picoseconds{8 * ui.ps()}, {&trace});
 
   std::vector<std::uint8_t> wire;
   telemetry::Hub::instance().drain([&](std::vector<std::uint8_t>&& p) {
@@ -717,7 +718,7 @@ eye_workload_with_telemetry() {
   std::vector<std::uint64_t> fp;
   fp.push_back(eye.total_samples());
   fp.push_back(eye.crossings().size());
-  for (double v : record.samples()) {
+  for (double v : trace.volts_mv()) {
     std::uint64_t bits;
     static_assert(sizeof(bits) == sizeof(v));
     std::memcpy(&bits, &v, sizeof(bits));
@@ -754,7 +755,6 @@ TEST(TelemetryHub, DisabledMeansZeroPacketsAndUntouchedResults) {
 
 TEST(TelemetryHub, PublishedStreamByteIdenticalAcrossThreadCounts) {
   telemetry::ScopedTelemetry on(true);
-  sig::ScopedRenderCache cache_off(false);
   std::vector<std::uint8_t> serial, one, eight;
   std::vector<std::uint64_t> fp0, fp1, fp8;
   {

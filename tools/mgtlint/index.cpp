@@ -394,11 +394,6 @@ class ProjectRules {
       if (generic_method_name(cs.callee)) {
         continue;
       }
-      // Lane kernels (sig::kern::*) operate on raw double lanes; units are
-      // erased at the kernel boundary by design.
-      if (cs.qualifier == "kern") {
-        continue;
-      }
       const auto dit = idx_.decls.find(cs.callee);
       if (dit == idx_.decls.end()) {
         continue;

@@ -48,7 +48,6 @@ public:
       check_wallclock_metric(i);
       check_units(i);
       check_contracts(i);
-      check_intrinsics(i);
       check_unbounded_wait(i);
       track_classes(i);
     }
@@ -125,36 +124,6 @@ private:
                    "' has unspecified order; use a sorted/ordered container "
                    "in reduction paths");
       }
-    }
-  }
-
-  // --- vendor intrinsics containment ---
-
-  // SIMD intrinsics and vector types may only appear in the dedicated batch
-  // kernel translation units (src/signal/batch_kernels.*). Everywhere else
-  // must go through the dispatching kernels, so the scalar fallback stays
-  // the single source of truth for results and the equivalence suite only
-  // has one boundary to gate.
-  void check_intrinsics(std::size_t i) {
-    const Token& t = tok(i);
-    if (t.kind != TokKind::kIdent) {
-      return;
-    }
-    if (path_.find("batch_kernels") != std::string_view::npos) {
-      return;
-    }
-    const std::string_view s = t.text;
-    const bool intrinsic_call = s.rfind("_mm_", 0) == 0 ||
-                                s.rfind("_mm256_", 0) == 0 ||
-                                s.rfind("_mm512_", 0) == 0;
-    const bool vector_type = s.rfind("__m128", 0) == 0 ||
-                             s.rfind("__m256", 0) == 0 ||
-                             s.rfind("__m512", 0) == 0;
-    if (intrinsic_call || vector_type) {
-      report(i, rules::kIntrinsics,
-             "vendor intrinsic '" + std::string(s) +
-                 "' outside src/signal/batch_kernels.*; call the "
-                 "dispatching kernels in batch_kernels.hpp instead");
     }
   }
 
@@ -342,7 +311,7 @@ private:
   /// *report* failure instead of trusting the bytes; dropping that report
   /// turns hostile input into silent garbage. Applies to any call whose
   /// name starts with decode/parse in src/ (telemetry::decode_payload,
-  /// util::parse_env_u64, sig::parse_simd_backend, ...).
+  /// util::parse_env_u64, util::parse_thread_count, ...).
   static bool is_decode_call(std::string_view name) {
     return name.size() >= 6 &&
            (name.substr(0, 6) == "decode" || name.substr(0, 5) == "parse");
@@ -784,8 +753,6 @@ const std::vector<RuleInfo>& rule_catalog() {
       {rules::kWallclockMetric,
        "wall-clock value feeds a deterministic obs metric sink", false,
        false},
-      {rules::kIntrinsics,
-       "vendor intrinsics outside src/signal/batch_kernels.*", false, false},
       {rules::kUnboundedWait,
        "blocking wait/join without a deadline in src/", false, false},
       {rules::kParallelMutation,

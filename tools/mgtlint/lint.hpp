@@ -84,8 +84,6 @@ inline constexpr std::string_view kCatchByValue = "catch-by-reference";
 inline constexpr std::string_view kUncheckedStatus = "no-unchecked-status";
 inline constexpr std::string_view kUncheckedDecode = "no-unchecked-decode";
 inline constexpr std::string_view kWallclockMetric = "no-wallclock-metric";
-inline constexpr std::string_view kIntrinsics =
-    "no-intrinsics-outside-kernels";
 inline constexpr std::string_view kUnboundedWait = "no-unbounded-wait";
 // Cross-TU families (v2): these need the whole-project index and only fire
 // from lint_project, never from single-buffer lint_source.
