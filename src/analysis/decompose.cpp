@@ -5,6 +5,7 @@
 
 #include "analysis/berextrap.hpp"
 #include "util/error.hpp"
+#include "util/stats.hpp"
 
 namespace mgt::ana {
 
@@ -13,14 +14,6 @@ Picoseconds JitterDecomposition::tj_at_ber(double ber) const {
 }
 
 namespace {
-
-double positive_mod(double x, double m) {
-  double r = std::fmod(x, m);
-  if (r < 0.0) {
-    r += m;
-  }
-  return r;
-}
 
 /// Least-squares line fit; returns false when degenerate.
 bool fit_line(const std::vector<double>& xs, const std::vector<double>& ys,

@@ -2,24 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "obs/obs.hpp"
 #include "telemetry/hub.hpp"
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 
 namespace mgt::ana {
 
 namespace {
-
-double positive_mod(double x, double m) {
-  double r = std::fmod(x, m);
-  if (r < 0.0) {
-    r += m;
-  }
-  return r;
-}
 
 CrossoverJitter jitter_from_phases(const std::vector<double>& phases,
                                    double ui) {
@@ -84,47 +74,13 @@ EyeDiagram::EyeDiagram(Config config)
   MGT_CHECK(config_.center_window > 0.0 && config_.center_window < 0.5);
 }
 
-void EyeDiagram::on_sample(Picoseconds t, Millivolts v) {
-  crossings_.on_sample(t, v);
-  ++total_;
-
-  const double ui = config_.ui.ps();
-  const double span = 2.0 * ui;
-  const double phase2 = positive_mod(t.ps() - config_.t_ref.ps(), span);
-  const double vfrac =
-      (v.mv() - config_.v_lo.mv()) / (config_.v_hi.mv() - config_.v_lo.mv());
-  if (vfrac >= 0.0 && vfrac < 1.0) {
-    const auto tb = static_cast<std::size_t>(
-        phase2 / span * static_cast<double>(config_.time_bins));
-    const auto vb = static_cast<std::size_t>(
-        vfrac * static_cast<double>(config_.volt_bins));
-    ++grid_[std::min(tb, config_.time_bins - 1) * config_.volt_bins +
-            std::min(vb, config_.volt_bins - 1)];
-  }
-
-  // Eye-center vertical opening: samples within +-center_window*UI of the
-  // middle of the bit cell.
-  const double phase1 = positive_mod(t.ps() - config_.t_ref.ps(), ui);
-  if (std::abs(phase1 - ui / 2.0) <= config_.center_window * ui) {
-    if (v.mv() >= config_.threshold.mv()) {
-      center_min_high_ = std::min(center_min_high_, v.mv());
-      center_high_.add(v.mv());
-    } else {
-      center_max_low_ = std::max(center_max_low_, v.mv());
-      center_low_.add(v.mv());
-    }
-  }
-}
-
 void EyeDiagram::on_block(const sig::SampleBlock& block) {
   crossings_.on_block(block);
   total_ += block.size;
 
   const double ui = config_.ui.ps();
   const double span = 2.0 * ui;
-  // Same subtraction on_sample() performs per sample, hoisted: the result
-  // double is identical, so each vfrac below is byte-identical to the
-  // per-sample division.
+  // Loop-invariant voltage span, hoisted out of the sample loop.
   const double v_lo = config_.v_lo.mv();
   const double v_span = config_.v_hi.mv() - v_lo;
 
@@ -245,19 +201,9 @@ EyeDiagram accumulate_eye(const sig::EdgeStream& stream,
                           const sig::RenderChunking& chunking) {
   const std::size_t n_chunks =
       sig::render_chunk_count(render_config, t_begin, t_end, chunking);
-  // One private accumulator per chunk; the decomposition depends only on
-  // the window, never on the worker count.
-  std::vector<std::unique_ptr<EyeDiagram>> parts(n_chunks);
-  util::parallel_for(n_chunks, [&](std::size_t c) {
-    auto part = std::make_unique<EyeDiagram>(eye_config);
-    sig::render_chunk(stream, chain, render_config, t_begin, t_end, chunking,
-                      c, {part.get()});
-    parts[c] = std::move(part);
-  });
-  EyeDiagram out = std::move(*parts.front());
-  for (std::size_t c = 1; c < n_chunks; ++c) {
-    out.merge(*parts[c]);
-  }
+  EyeDiagram out = sig::accumulate<EyeDiagram>(
+      stream, chain, render_config, t_begin, t_end,
+      [&] { return EyeDiagram(eye_config); }, chunking);
   // Recorded after the ordered merge, on the caller: totals are properties
   // of the merged eye, so they are identical at every worker count.
   obs::add_counter("eye.accumulations");

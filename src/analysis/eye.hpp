@@ -68,9 +68,6 @@ public:
 
   explicit EyeDiagram(Config config);
 
-  void on_sample(Picoseconds t, Millivolts v) override;
-  /// Batched accumulation over the SoA arrays, in sample order. Result
-  /// state is byte-identical to per-sample delivery.
   void on_block(const sig::SampleBlock& block) override;
   void on_context(Picoseconds t, Millivolts v) override;
 
@@ -100,7 +97,7 @@ public:
     return crossings_.crossings();
   }
 
-  /// Full metric set; `n_expected_edges` is unused but documents intent.
+  /// Full metric set.
   [[nodiscard]] EyeMetrics metrics() const;
 
   /// ASCII-art rendering (rows = voltage top-down, cols = phase across 2 UI)
@@ -120,11 +117,11 @@ private:
   RunningStats center_low_;
 };
 
-/// Accumulates an eye over [t_begin, t_end) of the rendered stream using
-/// the fixed chunk decomposition of sig::render_chunk, with the chunks
-/// executed by util::parallel_for and merged in chunk order. Byte-identical
-/// results at every thread count (including the MGT_THREADS=0 serial
-/// fallback) by construction; single-chunk windows are additionally
+/// Accumulates an eye over [t_begin, t_end) of the rendered stream through
+/// sig::accumulate (fixed chunk decomposition, parallel chunks, ordered
+/// merge), then records the eye.* counters and telemetry of the merged eye.
+/// Byte-identical results at every thread count (including the
+/// MGT_THREADS=0 serial fallback); single-chunk windows are additionally
 /// byte-identical to a plain sig::render pass.
 EyeDiagram accumulate_eye(const sig::EdgeStream& stream,
                           const sig::FilterChain& chain,

@@ -11,9 +11,13 @@ RiseFallMeter::RiseFallMeter(Millivolts vol, Millivolts voh) {
   v80_ = vol.mv() + 0.8 * swing;
 }
 
-void RiseFallMeter::on_sample(Picoseconds t, Millivolts v) {
-  const double tv = t.ps();
-  const double vv = v.mv();
+void RiseFallMeter::on_block(const sig::SampleBlock& block) {
+  for (std::size_t i = 0; i < block.size; ++i) {
+    step(block.t[i], block.v[i]);
+  }
+}
+
+void RiseFallMeter::step(double tv, double vv) {
   if (have_prev_) {
     auto crossing_up = [&](double level) {
       return prev_v_ < level && vv >= level;

@@ -17,7 +17,7 @@ public:
   /// `vol`/`voh` are the reference rails defining the 20 %/80 % thresholds.
   RiseFallMeter(Millivolts vol, Millivolts voh);
 
-  void on_sample(Picoseconds t, Millivolts v) override;
+  void on_block(const sig::SampleBlock& block) override;
 
   [[nodiscard]] const RunningStats& rise() const { return rise_; }
   [[nodiscard]] const RunningStats& fall() const { return fall_; }
@@ -29,6 +29,9 @@ public:
   }
 
 private:
+  /// Advances the transition state machine by one sample.
+  void step(double tv, double vv);
+
   double v20_;
   double v80_;
   bool have_prev_ = false;

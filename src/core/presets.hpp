@@ -30,10 +30,9 @@ ChannelConfig minitester(GbitsPerSec rate = GbitsPerSec{5.0});
 
 /// Strobe/edge-placement delay line for the requested timing mode: the
 /// paper's 10 ps stepped tap chain, or the sub-picosecond vernier
-/// interpolator covering the same ~10 ns range. The default follows the
-/// MGT_TIMING_MODE knob, so existing call sites pick up the mode without
-/// code changes.
+/// interpolator covering the same ~10 ns range. Defaults to the paper's
+/// stepped line.
 pecl::ProgrammableDelay::Config strobe_delay(
-    pecl::TimingMode mode = pecl::default_timing_mode());
+    pecl::TimingMode mode = pecl::TimingMode::kStepped);
 
 }  // namespace mgt::core::presets

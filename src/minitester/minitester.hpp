@@ -26,7 +26,7 @@ public:
   struct Config {
     core::ChannelConfig channel = core::presets::minitester();
     pecl::PeclSampler::Config sampler{};
-    /// Follows the MGT_TIMING_MODE knob by default (stepped or vernier).
+    /// The paper's stepped delay line by default; set `mode` for vernier.
     pecl::ProgrammableDelay::Config strobe_delay =
         core::presets::strobe_delay();
     WlpDut::Config dut{};

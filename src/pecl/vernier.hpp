@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -38,17 +37,6 @@ enum class TimingMode {
 };
 
 [[nodiscard]] std::string_view to_string(TimingMode mode);
-
-/// Strict parse of a timing-mode knob value: exactly "stepped" or
-/// "vernier"; nullptr/empty mean "unset". Anything else is malformed and
-/// returns nullopt. Pure, so the rejection matrix is unit-testable.
-[[nodiscard]] std::optional<TimingMode> parse_timing_mode(const char* raw);
-
-/// Process-wide default mode from the MGT_TIMING_MODE environment knob,
-/// parsed once. Unset or malformed values fall back to kStepped; malformed
-/// values are counted through util::note_env_rejection so a typo'd knob is
-/// visible in metrics snapshots and self-test reports.
-[[nodiscard]] TimingMode default_timing_mode();
 
 /// The dual-clock interpolator behind TimingMode::kVernier.
 class VernierTimebase {

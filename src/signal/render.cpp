@@ -22,18 +22,20 @@ public:
 
   static constexpr std::size_t kChunkSamples = 512;
 
-  void on_sample(Picoseconds t, Millivolts v) override {
-    if (phase_ == 0) {
-      if (chunk_.samples.empty()) {
-        chunk_.t0_ps = t.ps();
+  void on_block(const SampleBlock& block) override {
+    for (std::size_t i = 0; i < block.size; ++i) {
+      if (phase_ == 0) {
+        if (chunk_.samples.empty()) {
+          chunk_.t0_ps = block.t[i];
+        }
+        chunk_.samples.push_back(block.v[i]);
+        if (chunk_.samples.size() >= kChunkSamples) {
+          publish();
+        }
       }
-      chunk_.samples.push_back(v.mv());
-      if (chunk_.samples.size() >= kChunkSamples) {
-        publish();
-      }
+      phase_ = (phase_ + 1 == decimation_) ? 0 : phase_ + 1;
+      ++index_;
     }
-    phase_ = (phase_ + 1 == decimation_) ? 0 : phase_ + 1;
-    ++index_;
   }
 
   void finish() override {
@@ -87,10 +89,7 @@ void run_window(const EdgeStream& stream, FilterChain& chain,
   bool level = stream.level_at(Picoseconds{t_start});
   chain.reset(level_to_mv(level));
 
-  // Emitted samples accumulate into a SoA block and go out whole; the
-  // chain stepping below is unchanged from the per-sample engine, so the
-  // sample values (and the block-partitioned delivery, for sinks honoring
-  // the on_block contract) are byte-identical to it.
+  // Emitted samples accumulate into a SoA block and go out whole.
   SampleBlock block;
   auto flush = [&] {
     if (block.size == 0) {

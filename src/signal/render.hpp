@@ -1,7 +1,7 @@
 // Streaming analog renderer.
 //
 // Converts an edge stream plus level configuration through a FilterChain
-// into a uniformly sampled voltage waveform, pushed sample-by-sample into
+// into a uniformly sampled voltage waveform, pushed block-by-block into
 // WaveformSinks (eye accumulators, crossing detectors, samplers, ...).
 // Nothing is ever stored whole: a million-UI acquisition uses O(1) memory in
 // the renderer.
@@ -13,11 +13,13 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "signal/edge.hpp"
 #include "signal/filter.hpp"
 #include "signal/levels.hpp"
+#include "util/parallel.hpp"
 #include "util/units.hpp"
 
 namespace mgt::sig {
@@ -25,7 +27,7 @@ namespace mgt::sig {
 /// One batch of rendered grid samples in structure-of-arrays layout. The
 /// renderer fills fixed-capacity blocks and hands whole blocks to sinks
 /// instead of one virtual call per grid sample. Times are picoseconds,
-/// voltages millivolts: the same doubles on_sample() carries.
+/// voltages millivolts.
 struct SampleBlock {
   /// Samples per block. Two arrays of 512 doubles (8 KiB) stay resident in
   /// L1 while a sink's per-block loops run.
@@ -48,18 +50,17 @@ struct SampleBlock {
 class WaveformSink {
 public:
   virtual ~WaveformSink() = default;
-  /// Called for each grid sample in time order.
-  virtual void on_sample(Picoseconds t, Millivolts v) = 0;
-  /// Batch delivery: the renderer hands samples in SampleBlocks (time
-  /// order, partition-independent semantics). The default unrolls to
-  /// on_sample(), so per-sample sinks behave byte-identically; hot sinks
-  /// override this and run their loops over the SoA arrays. An override
-  /// must produce the same state as the per-sample replay for any
-  /// partitioning of the sample sequence into blocks.
-  virtual void on_block(const SampleBlock& block) {
-    for (std::size_t i = 0; i < block.size; ++i) {
-      on_sample(Picoseconds{block.t[i]}, Millivolts{block.v[i]});
-    }
+  /// Called with each batch of grid samples, in time order. A sink's state
+  /// must depend only on the sample sequence, never on how it was split
+  /// into blocks (tests/test_render_equiv.cpp checks this sink by sink).
+  virtual void on_block(const SampleBlock& block) = 0;
+  /// Delivers one sample as a one-sample block. Not a second
+  /// implementation: sinks override on_block() only. It stays virtual for
+  /// perfbench's NullSink, which still overrides it.
+  virtual void on_sample(Picoseconds t, Millivolts v) {
+    SampleBlock block;
+    block.push(t.ps(), v.mv());
+    on_block(block);
   }
   /// Called once after the last sample.
   virtual void finish() {}
@@ -132,5 +133,33 @@ void render_chunk(const EdgeStream& stream, FilterChain chain,
                   Picoseconds t_end, const RenderChunking& chunking,
                   std::size_t chunk_index,
                   const std::vector<WaveformSink*>& sinks);
+
+/// The one chunked acquisition driver: renders every chunk of [t_begin,
+/// t_end) into a private sink from `make_sink()`, runs the chunks through
+/// util::parallel_for, and merges them in chunk order with
+/// `Sink::merge(const Sink& later)`. The decomposition depends only on the
+/// window and `chunking`, so the result is byte-identical at every thread
+/// count. A single-chunk window sees exactly the samples a plain render()
+/// pass delivers; finish() is left to the caller.
+template <typename Sink, typename MakeSink>
+Sink accumulate(const EdgeStream& stream, const FilterChain& chain,
+                const RenderConfig& config, Picoseconds t_begin,
+                Picoseconds t_end, const MakeSink& make_sink,
+                const RenderChunking& chunking = {}) {
+  const std::size_t n_chunks =
+      render_chunk_count(config, t_begin, t_end, chunking);
+  std::vector<std::unique_ptr<Sink>> parts(n_chunks);
+  util::parallel_for(n_chunks, [&](std::size_t c) {
+    auto part = std::make_unique<Sink>(make_sink());
+    render_chunk(stream, chain, config, t_begin, t_end, chunking, c,
+                 {part.get()});
+    parts[c] = std::move(part);
+  });
+  Sink out = std::move(*parts.front());
+  for (std::size_t c = 1; c < n_chunks; ++c) {
+    out.merge(*parts[c]);
+  }
+  return out;
+}
 
 }  // namespace mgt::sig

@@ -7,22 +7,6 @@
 
 namespace mgt::sig {
 
-void CrossingRecorder::on_sample(Picoseconds t, Millivolts v) {
-  const double th = threshold_.mv();
-  if (have_prev_) {
-    const bool was_below = prev_v_ < th;
-    const bool is_below = v.mv() < th;
-    if (was_below != is_below && v.mv() != prev_v_) {
-      const double frac = (th - prev_v_) / (v.mv() - prev_v_);
-      const double tc = prev_t_ + frac * (t.ps() - prev_t_);
-      crossings_.push_back({Picoseconds{tc}, was_below});
-    }
-  }
-  prev_t_ = t.ps();
-  prev_v_ = v.mv();
-  have_prev_ = true;
-}
-
 void CrossingRecorder::on_block(const SampleBlock& block) {
   if (block.size == 0) {
     return;
@@ -30,15 +14,12 @@ void CrossingRecorder::on_block(const SampleBlock& block) {
   const double th = threshold_.mv();
   std::size_t first = 0;
   if (!have_prev_) {
-    // The first-ever sample only primes the pair state, exactly like the
-    // first on_sample() call.
+    // The first-ever sample only primes the pair state.
     prev_t_ = block.t[0];
     prev_v_ = block.v[0];
     have_prev_ = true;
     first = 1;
   }
-  // The pair state lives in locals for the scan; the predicate and the
-  // interpolation are on_sample()'s, so the crossing list is identical.
   double pt = prev_t_;
   double pv = prev_v_;
   for (std::size_t i = first; i < block.size; ++i) {
@@ -56,7 +37,7 @@ void CrossingRecorder::on_block(const SampleBlock& block) {
 }
 
 void CrossingRecorder::on_context(Picoseconds t, Millivolts v) {
-  // Prime only: the straddling pair is detected by the first on_sample.
+  // Prime only: the straddling pair is detected by the next on_block.
   prev_t_ = t.ps();
   prev_v_ = v.mv();
   have_prev_ = true;
@@ -67,10 +48,12 @@ void CrossingRecorder::merge(const CrossingRecorder& later) {
                     later.crossings_.end());
 }
 
-void WaveformTrace::on_sample(Picoseconds t, Millivolts v) {
-  if (counter_++ % decimation_ == 0) {
-    t_.push_back(t.ps());
-    v_.push_back(v.mv());
+void WaveformTrace::on_block(const SampleBlock& block) {
+  for (std::size_t i = 0; i < block.size; ++i) {
+    if (counter_++ % decimation_ == 0) {
+      t_.push_back(block.t[i]);
+      v_.push_back(block.v[i]);
+    }
   }
 }
 
@@ -107,9 +90,9 @@ void StrobeSampler::capture(Picoseconds strobe, Millivolts v, MvPerPs slope) {
   (void)strobe;
 }
 
-void StrobeSampler::on_sample(Picoseconds t, Millivolts v) {
+void StrobeSampler::step(double t, double v) {
   if (have_prev_) {
-    while (next_ < strobes_.size() && strobes_[next_].ps() <= t.ps()) {
+    while (next_ < strobes_.size() && strobes_[next_].ps() <= t) {
       const double s = strobes_[next_].ps();
       if (s < prev_t_) {
         // Strobe before the rendered window: count as missed.
@@ -118,15 +101,15 @@ void StrobeSampler::on_sample(Picoseconds t, Millivolts v) {
         ++missed_;
         continue;
       }
-      const double span = t.ps() - prev_t_;
+      const double span = t - prev_t_;
       const double frac = span > 0.0 ? (s - prev_t_) / span : 0.0;
-      const double v_at_strobe = prev_v_ + frac * (v.mv() - prev_v_);
-      const double slope = span > 0.0 ? (v.mv() - prev_v_) / span : 0.0;
+      const double v_at_strobe = prev_v_ + frac * (v - prev_v_);
+      const double slope = span > 0.0 ? (v - prev_v_) / span : 0.0;
       capture(Picoseconds{s}, Millivolts{v_at_strobe}, MvPerPs{slope});
     }
   }
-  prev_t_ = t.ps();
-  prev_v_ = v.mv();
+  prev_t_ = t;
+  prev_v_ = v;
   have_prev_ = true;
 }
 
@@ -136,14 +119,14 @@ void StrobeSampler::on_block(const SampleBlock& block) {
   }
   if (have_prev_ && (next_ >= strobes_.size() ||
                      strobes_[next_].ps() > block.t[block.size - 1])) {
-    // No strobe falls at or before this block's last sample: the
-    // per-sample loop would only walk the pair state forward.
+    // No strobe falls at or before this block's last sample: stepping
+    // would only walk the pair state forward.
     prev_t_ = block.t[block.size - 1];
     prev_v_ = block.v[block.size - 1];
     return;
   }
   for (std::size_t i = 0; i < block.size; ++i) {
-    on_sample(Picoseconds{block.t[i]}, Millivolts{block.v[i]});
+    step(block.t[i], block.v[i]);
   }
 }
 
@@ -158,25 +141,6 @@ void StrobeSampler::finish() {
 AmplitudeTracker::AmplitudeTracker(Millivolts decision_threshold,
                                    MvPerPs slope_limit)
     : threshold_(decision_threshold), slope_limit_(slope_limit) {}
-
-void AmplitudeTracker::on_sample(Picoseconds t, Millivolts v) {
-  max_ = std::max(max_, v.mv());
-  min_ = std::min(min_, v.mv());
-  if (have_prev_) {
-    const double dt = t.ps() - prev_t_;
-    const double slope = dt > 0.0 ? std::abs(v.mv() - prev_v_) / dt : 0.0;
-    if (slope <= slope_limit_.mv_per_ps()) {
-      if (v.mv() >= threshold_.mv()) {
-        high_.add(v.mv());
-      } else {
-        low_.add(v.mv());
-      }
-    }
-  }
-  prev_t_ = t.ps();
-  prev_v_ = v.mv();
-  have_prev_ = true;
-}
 
 void AmplitudeTracker::on_block(const SampleBlock& block) {
   if (block.size == 0) {

@@ -28,9 +28,6 @@ class CrossingRecorder final : public WaveformSink {
 public:
   explicit CrossingRecorder(Millivolts threshold) : threshold_(threshold) {}
 
-  void on_sample(Picoseconds t, Millivolts v) override;
-  /// Batched scan over the SoA arrays; the crossing list is byte-identical
-  /// to per-sample delivery.
   void on_block(const SampleBlock& block) override;
   void on_context(Picoseconds t, Millivolts v) override;
 
@@ -56,7 +53,7 @@ public:
   explicit WaveformTrace(std::size_t decimation = 1)
       : decimation_(decimation == 0 ? 1 : decimation) {}
 
-  void on_sample(Picoseconds t, Millivolts v) override;
+  void on_block(const SampleBlock& block) override;
 
   [[nodiscard]] const std::vector<double>& times_ps() const { return t_; }
   [[nodiscard]] const std::vector<double>& volts_mv() const { return v_; }
@@ -88,10 +85,8 @@ public:
   /// `strobes` must be sorted ascending.
   StrobeSampler(std::vector<Picoseconds> strobes, Config config, Rng rng);
 
-  void on_sample(Picoseconds t, Millivolts v) override;
   /// Skips whole blocks that contain no strobe (the common case for sparse
-  /// strobe lists); otherwise replays per sample. State-identical to
-  /// per-sample delivery either way.
+  /// strobe lists); otherwise steps sample by sample.
   void on_block(const SampleBlock& block) override;
   void finish() override;
 
@@ -105,6 +100,9 @@ public:
   [[nodiscard]] std::size_t missed() const { return missed_; }
 
 private:
+  /// Advances the pair state by one sample, capturing every strobe at or
+  /// before `t`.
+  void step(double t, double v);
   void capture(Picoseconds strobe, Millivolts v, MvPerPs slope);
 
   std::vector<Picoseconds> strobes_;  // jittered, sorted
@@ -129,9 +127,6 @@ public:
   explicit AmplitudeTracker(Millivolts decision_threshold,
                             MvPerPs slope_limit = MvPerPs{0.5});
 
-  void on_sample(Picoseconds t, Millivolts v) override;
-  /// Batched loop over the SoA arrays, in sample order, so the result is
-  /// byte-identical to per-sample delivery.
   void on_block(const SampleBlock& block) override;
   void on_context(Picoseconds t, Millivolts v) override;
 

@@ -125,8 +125,6 @@ EnvValue<std::uint64_t> env_size_mb(const char* name, std::uint64_t min_mb,
   return {EnvParseStatus::kParsed, *parsed};
 }
 
-void note_env_rejection(const char* name) { count_rejection(name); }
-
 std::uint64_t env_rejections() {
   std::lock_guard<std::mutex> lock(g_mutex);
   return g_rejections;

@@ -74,11 +74,6 @@ EnvValue<bool> env_flag(const char* name);
 EnvValue<std::uint64_t> env_size_mb(const char* name, std::uint64_t min_mb = 1,
                                     std::uint64_t max_mb = (~0ULL) >> 20);
 
-/// Records a rejection decided by a domain-specific parser (e.g. the
-/// MGT_TIMING_MODE name parse) so every knob feeds the same rejection total
-/// regardless of its value grammar.
-void note_env_rejection(const char* name);
-
 /// How many environment knob values were rejected by env_u64/env_flag in
 /// this process. Bridged into obs as counter "mgt.env.rejected".
 std::uint64_t env_rejections();

@@ -1,11 +1,23 @@
 // Streaming statistics accumulators used by the measurement library.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <vector>
 
 namespace mgt {
+
+/// `x` mod `m` (m > 0) folded to be non-negative: the phase fold behind
+/// every eye and jitter measurement. A tiny negative remainder plus `m`
+/// can round to exactly `m`.
+inline double positive_mod(double x, double m) {
+  double r = std::fmod(x, m);
+  if (r < 0.0) {
+    r += m;
+  }
+  return r;
+}
 
 /// Single-pass accumulator for count / mean / rms / stddev / min / max /
 /// peak-to-peak. Uses Welford's algorithm for numerical stability.

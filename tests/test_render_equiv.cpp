@@ -1,12 +1,12 @@
 // Render-path equivalence gate (ctest label: render).
 //
 // The renderer delivers samples in SoA blocks and splits long windows into
-// chunks rendered in parallel. Both are only allowed because every result
-// is byte-identical to plain per-sample, single-pass, serial rendering.
-// This suite is that gate:
+// chunks rendered in parallel. Both are only allowed because no result
+// depends on where the block or chunk boundaries fall. This suite is that
+// gate:
 //
-//   - sink level: block delivery produces the same state as per-sample
-//     delivery for ANY partitioning of the sample sequence into blocks;
+//   - sink level: every sink ends in the same state for ANY partitioning
+//     of the sample sequence into blocks, one-sample blocks included;
 //   - pipeline level: a single-chunk accumulation matches render();
 //   - parallel level: a mixed eye + shmoo workload is bitwise identical at
 //     MGT_THREADS 0, 1 and 8;
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "analysis/eye.hpp"
+#include "analysis/risefall.hpp"
 #include "minitester/shmoo.hpp"
 #include "obs/obs.hpp"
 #include "signal/edge.hpp"
@@ -30,6 +31,7 @@
 #include "signal/sinks.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -108,9 +110,10 @@ std::uint64_t counter_value(const char* name) {
 
 // ------------------------------------------------ block delivery gate ----
 
-// Feeds the same sample sequence to `per_sample` one sample at a time and
-// to `blocked` in blocks whose sizes cycle through `parts`. Afterwards the
-// two sinks must be in identical states (checked by the caller).
+// Feeds the same sample sequence to `per_sample` one sample at a time
+// (WaveformSink::on_sample, i.e. one-sample blocks) and to `blocked` in
+// blocks whose sizes cycle through `parts`. Afterwards the two sinks must
+// be in identical states (checked by the caller).
 void feed_both(sig::WaveformSink& per_sample, sig::WaveformSink& blocked,
                const std::vector<double>& ts, const std::vector<double>& vs,
                const std::vector<std::size_t>& parts) {
@@ -154,6 +157,37 @@ Synth synth_waveform(std::size_t n) {
     s.vs.push_back(base + rng.uniform(-30.0, 30.0));
   }
   return s;
+}
+
+// Trapezoid wave with 60 ps edges and +-3.5 mV noise: every transition
+// spans many samples (and so block boundaries), and the noise, just above
+// the 6.7 mV per-sample edge step, adds rare mid-edge reversals for the
+// rise/fall gate.
+Synth synth_edges(std::size_t n) {
+  Synth s;
+  s.ts.reserve(n);
+  s.vs.reserve(n);
+  Rng rng(0xED6E5ull);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = 0.5 * static_cast<double>(i);
+    const double phase = std::fmod(t, 800.0);
+    double base = 1600.0;
+    if (phase < 60.0) {
+      base = 1600.0 + 800.0 * phase / 60.0;
+    } else if (phase < 400.0) {
+      base = 2400.0;
+    } else if (phase < 460.0) {
+      base = 2400.0 - 800.0 * (phase - 400.0) / 60.0;
+    }
+    s.ts.push_back(t);
+    s.vs.push_back(base + rng.uniform(-3.5, 3.5));
+  }
+  return s;
+}
+
+std::vector<std::uint64_t> stats_bits(const RunningStats& st) {
+  return {st.count(), dbits(st.mean()), dbits(st.stddev()), dbits(st.min()),
+          dbits(st.max())};
 }
 
 const std::vector<std::size_t> kPartitions[] = {
@@ -215,6 +249,35 @@ TEST(BlockDelivery, EyeDiagramPartitionInvariant) {
     ana::EyeDiagram b{eye_config(Picoseconds{400.0})};
     feed_both(a, b, s.ts, s.vs, parts);
     EXPECT_EQ(fingerprint(a), fingerprint(b));
+  }
+}
+
+TEST(BlockDelivery, RiseFallMeterPartitionInvariant) {
+  const Synth s = synth_edges(16000);
+  for (const auto& parts : kPartitions) {
+    ana::RiseFallMeter a{Millivolts{1600.0}, Millivolts{2400.0}};
+    ana::RiseFallMeter b{Millivolts{1600.0}, Millivolts{2400.0}};
+    feed_both(a, b, s.ts, s.vs, parts);
+    ASSERT_GT(a.rise().count(), 0u);
+    ASSERT_GT(a.fall().count(), 0u);
+    EXPECT_EQ(stats_bits(a.rise()), stats_bits(b.rise()));
+    EXPECT_EQ(stats_bits(a.fall()), stats_bits(b.fall()));
+  }
+}
+
+TEST(BlockDelivery, WaveformTracePartitionInvariant) {
+  const Synth s = synth_waveform(4000);
+  for (const auto& parts : kPartitions) {
+    // Decimation 3 puts the kept samples at every offset within a block.
+    sig::WaveformTrace a{3};
+    sig::WaveformTrace b{3};
+    feed_both(a, b, s.ts, s.vs, parts);
+    ASSERT_EQ(a.size(), (s.ts.size() + 2) / 3);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(dbits(a.times_ps()[i]), dbits(b.times_ps()[i]));
+      EXPECT_EQ(dbits(a.volts_mv()[i]), dbits(b.volts_mv()[i]));
+    }
   }
 }
 

@@ -633,12 +633,6 @@ TEST(Env, RejectionsAreCountedAndNamed) {
   EXPECT_EQ(util::env_rejections(), 3u);
   EXPECT_EQ(util::env_rejected_names(), "MGT_TEST_KNOB_A,MGT_TEST_KNOB_B");
 
-  // Domain-specific parsers feed the same totals.
-  util::note_env_rejection("MGT_TEST_KNOB_D");
-  EXPECT_EQ(util::env_rejections(), 4u);
-  EXPECT_EQ(util::env_rejected_names(),
-            "MGT_TEST_KNOB_A,MGT_TEST_KNOB_B,MGT_TEST_KNOB_D");
-
   unsetenv("MGT_TEST_KNOB_A");
   unsetenv("MGT_TEST_KNOB_B");
   unsetenv("MGT_TEST_KNOB_C");
