@@ -85,9 +85,9 @@ void EyeDiagram::on_block(const sig::SampleBlock& block) {
   const double v_span = config_.v_hi.mv() - v_lo;
 
   for (std::size_t i = 0; i < block.size; ++i) {
-    const double t = block.t[i];
+    const double x = block.t[i] - config_.t_ref.ps();
     const double v = block.v[i];
-    const double phase2 = positive_mod(t - config_.t_ref.ps(), span);
+    const double phase2 = positive_mod(x, span);
     const double vfrac = (v - v_lo) / v_span;
     if (vfrac >= 0.0 && vfrac < 1.0) {
       const auto tb = static_cast<std::size_t>(
@@ -97,7 +97,12 @@ void EyeDiagram::on_block(const sig::SampleBlock& block) {
       ++grid_[std::min(tb, config_.time_bins - 1) * config_.volt_bins +
               std::min(vb, config_.volt_bins - 1)];
     }
-    const double phase1 = positive_mod(t - config_.t_ref.ps(), ui);
+    // For x >= 0, phase2 is the exact remainder mod 2 UI, so the remainder
+    // mod 1 UI is phase2 or phase2 - ui, and that subtraction is exact by
+    // Sterbenz's lemma (ui <= phase2 < 2 ui). Negative offsets keep the
+    // second fold: there positive_mod's `r += m` rounds (DESIGN.md §4).
+    const double phase1 = x >= 0.0 ? (phase2 >= ui ? phase2 - ui : phase2)
+                                   : positive_mod(x, ui);
     if (std::abs(phase1 - ui / 2.0) <= config_.center_window * ui) {
       if (v >= config_.threshold.mv()) {
         center_min_high_ = std::min(center_min_high_, v);

@@ -17,6 +17,7 @@ FilterChain& FilterChain::add_pole(Picoseconds tau) {
   // The memoized alpha rows are per-stage; changing the cascade drops them.
   memo_rows_ = 0;
   memo_next_ = 0;
+  memo_last_ = 0;
   memo_alpha_.assign(kAlphaMemoRows * taus_.size(), 0.0);
   return *this;
 }
@@ -59,8 +60,12 @@ void FilterChain::reset(Millivolts v) {
 
 const double* FilterChain::alpha_row(Picoseconds dt) {
   const double dt_ps = dt.ps();
+  if (memo_rows_ > 0 && memo_dt_[memo_last_] == dt_ps) {
+    return memo_alpha_.data() + memo_last_ * taus_.size();
+  }
   for (std::size_t r = 0; r < memo_rows_; ++r) {
     if (memo_dt_[r] == dt_ps) {
+      memo_last_ = r;
       return memo_alpha_.data() + r * taus_.size();
     }
   }
@@ -76,6 +81,7 @@ const double* FilterChain::alpha_row(Picoseconds dt) {
     row[i] = 1.0 - std::exp(-dt_ps / taus_[i]);
   }
   memo_dt_[r] = dt_ps;
+  memo_last_ = r;
   return row;
 }
 

@@ -60,7 +60,9 @@ private:
   /// revisits a handful of distinct dt values (the grid step and the edge
   /// fragments around it) millions of times, so this removes exp() from the
   /// per-sample path while staying byte-identical: a memoized alpha is the
-  /// very double the direct computation would produce.
+  /// very double the direct computation would produce. The most recently
+  /// returned row is checked before the scan: between transitions every
+  /// step is a grid step, so almost every lookup hits it with one compare.
   const double* alpha_row(Picoseconds dt);
 
   static constexpr std::size_t kAlphaMemoRows = 8;
@@ -74,6 +76,7 @@ private:
   std::vector<double> memo_alpha_;  // kAlphaMemoRows x pole_count, row-major
   std::size_t memo_rows_ = 0;       // valid rows
   std::size_t memo_next_ = 0;       // round-robin replacement cursor
+  std::size_t memo_last_ = 0;       // most recently returned row
 };
 
 /// 20-80 % rise time of a single pole: tau * ln 4.

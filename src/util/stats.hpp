@@ -11,7 +11,22 @@ namespace mgt {
 /// `x` mod `m` (m > 0) folded to be non-negative: the phase fold behind
 /// every eye and jitter measurement. A tiny negative remainder plus `m`
 /// can round to exactly `m`.
+///
+/// Fast path, bit-identical to `std::fmod`: for finite `x > 0`, finite
+/// `m > 0` and a quotient below 2^52, the exact remainder `x - n*m`
+/// (n = floor(x/m)) is representable, so one `fma` with `n` returns it
+/// unrounded. Rounding is monotone, so `trunc(x / m)` is `n` or `n + 1`;
+/// a negative remainder says it was `n + 1`, and a second `fma` with
+/// `n` fixes it. Everything else (negative or signed-zero `x`, huge
+/// quotients, subnormal overflow, inf, NaN) takes the `fmod` path.
+/// DESIGN.md §4 ("Exact phase fold") has the full argument.
 inline double positive_mod(double x, double m) {
+  const double q = std::trunc(x / m);
+  if (x > 0.0 && q < 0x1p52 && m > 0.0 &&
+      m <= std::numeric_limits<double>::max()) {
+    const double r = std::fma(-q, m, x);
+    return r < 0.0 ? std::fma(-(q - 1.0), m, x) : r;
+  }
   double r = std::fmod(x, m);
   if (r < 0.0) {
     r += m;

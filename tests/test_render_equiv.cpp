@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -277,6 +278,130 @@ TEST(BlockDelivery, WaveformTracePartitionInvariant) {
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(dbits(a.times_ps()[i]), dbits(b.times_ps()[i]));
       EXPECT_EQ(dbits(a.volts_mv()[i]), dbits(b.volts_mv()[i]));
+    }
+  }
+}
+
+// The eye fold as it was before positive_mod's fma fast path: two fmod-based
+// folds per sample, mod 2 UI for the histogram column and mod 1 UI for the
+// centre window. EyeDiagram must reach the same bits.
+double fmod_fold(double x, double m) {
+  double r = std::fmod(x, m);
+  if (r < 0.0) {
+    r += m;
+  }
+  return r;
+}
+
+class TwoFmodEyeReference final : public sig::WaveformSink {
+public:
+  explicit TwoFmodEyeReference(const ana::EyeDiagram::Config& cfg)
+      : cfg_(cfg), grid_(cfg.time_bins * cfg.volt_bins, 0),
+        crossings_(cfg.threshold) {}
+
+  void on_block(const sig::SampleBlock& block) override {
+    crossings_.on_block(block);
+    const double ui = cfg_.ui.ps();
+    const double span = 2.0 * ui;
+    const double v_lo = cfg_.v_lo.mv();
+    const double v_span = cfg_.v_hi.mv() - v_lo;
+    for (std::size_t i = 0; i < block.size; ++i) {
+      const double t = block.t[i];
+      const double v = block.v[i];
+      const double phase2 = fmod_fold(t - cfg_.t_ref.ps(), span);
+      const double vfrac = (v - v_lo) / v_span;
+      if (vfrac >= 0.0 && vfrac < 1.0) {
+        const auto tb = static_cast<std::size_t>(
+            phase2 / span * static_cast<double>(cfg_.time_bins));
+        const auto vb =
+            static_cast<std::size_t>(vfrac * static_cast<double>(cfg_.volt_bins));
+        ++grid_[std::min(tb, cfg_.time_bins - 1) * cfg_.volt_bins +
+                std::min(vb, cfg_.volt_bins - 1)];
+      }
+      const double phase1 = fmod_fold(t - cfg_.t_ref.ps(), ui);
+      if (std::abs(phase1 - ui / 2.0) <= cfg_.center_window * ui) {
+        if (t < cfg_.t_ref.ps()) {
+          ++negative_center_;
+        }
+        if (v >= cfg_.threshold.mv()) {
+          min_high_ = std::min(min_high_, v);
+          high_.add(v);
+        } else {
+          max_low_ = std::max(max_low_, v);
+          low_.add(v);
+        }
+      }
+    }
+  }
+  void on_context(Picoseconds t, Millivolts v) override {
+    crossings_.on_context(t, v);
+  }
+
+  std::size_t count_at(std::size_t tb, std::size_t vb) const {
+    return grid_[tb * cfg_.volt_bins + vb];
+  }
+  double eye_height() const {
+    return high_.count() == 0 || low_.count() == 0 ? 0.0 : min_high_ - max_low_;
+  }
+  double level_high() const { return high_.mean(); }
+  double level_low() const { return low_.mean(); }
+  const std::vector<sig::Crossing>& crossings() const {
+    return crossings_.crossings();
+  }
+  std::size_t negative_center() const { return negative_center_; }
+
+private:
+  ana::EyeDiagram::Config cfg_;
+  std::vector<std::size_t> grid_;
+  sig::CrossingRecorder crossings_;
+  double min_high_ = 1e300;
+  double max_low_ = -1e300;
+  RunningStats high_;
+  RunningStats low_;
+  std::size_t negative_center_ = 0;
+};
+
+TEST(BlockDelivery, EyeFoldMatchesTwoFmodReference) {
+  // 3 Gbps: the UI (333.33 ps) and 2 UI are not whole numbers of the
+  // 0.5 ps grid, so folded phases land everywhere in the UI.
+  const Picoseconds ui = GbitsPerSec{3.0}.unit_interval();
+  const std::size_t n_bits = 160;
+  const sig::EdgeStream stream = test_stream(11, n_bits, ui);
+  const sig::FilterChain chain = test_chain();
+  const sig::RenderConfig rc;
+  const Picoseconds t_end{static_cast<double>(n_bits) * ui.ps()};
+  // t_ref = 0 folds non-negative offsets only; a t_ref 7.3 UI into the
+  // window also folds the negative offsets before it.
+  for (const double t_ref_ui : {0.0, 7.3}) {
+    for (const double window : {0.1, 0.45}) {
+      ana::EyeDiagram::Config cfg = eye_config(ui);
+      cfg.t_ref = Picoseconds{t_ref_ui * ui.ps()};
+      cfg.center_window = window;
+      ana::EyeDiagram eye{cfg};
+      TwoFmodEyeReference ref{cfg};
+      std::vector<sig::WaveformSink*> sinks{&eye, &ref};
+      sig::render(stream, chain, rc, Picoseconds{0}, t_end, sinks);
+
+      SCOPED_TRACE(testing::Message()
+                   << "t_ref " << t_ref_ui << " UI, window " << window);
+      EXPECT_EQ(ref.negative_center() > 0, t_ref_ui > 0.0);
+      for (std::size_t tb = 0; tb < cfg.time_bins; ++tb) {
+        for (std::size_t vb = 0; vb < cfg.volt_bins; ++vb) {
+          ASSERT_EQ(eye.count_at(tb, vb), ref.count_at(tb, vb))
+              << "cell " << tb << "," << vb;
+        }
+      }
+      EXPECT_GT(eye.level_high().mv(), eye.level_low().mv());
+      EXPECT_EQ(dbits(eye.eye_height().mv()), dbits(ref.eye_height()));
+      EXPECT_EQ(dbits(eye.level_high().mv()), dbits(ref.level_high()));
+      EXPECT_EQ(dbits(eye.level_low().mv()), dbits(ref.level_low()));
+      ASSERT_EQ(eye.crossings().size(), ref.crossings().size());
+      ASSERT_GT(eye.crossings().size(), 40u);
+      for (std::size_t i = 0; i < eye.crossings().size(); ++i) {
+        EXPECT_EQ(dbits(eye.crossings()[i].time.ps()),
+                  dbits(ref.crossings()[i].time.ps()));
+        EXPECT_EQ(eye.crossings()[i].rising, ref.crossings()[i].rising);
+      }
     }
   }
 }

@@ -2,7 +2,10 @@
 // sinks and channels.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "signal/channel.hpp"
 #include "signal/edge.hpp"
@@ -273,6 +276,47 @@ TEST(Filter, InvalidPoleThrows) {
   EXPECT_THROW(chain.add_pole(Picoseconds{0.0}), Error);
   EXPECT_THROW(chain.add_pole(Picoseconds{-5.0}), Error);
   EXPECT_THROW(chain.set_gain(0.0, Millivolts{0.0}), Error);
+}
+
+TEST(FilterChain, MemoizedStepMatchesDirectExp) {
+  // Twelve distinct dt values, more than the memo's eight rows, visited in
+  // runs of random length and random order: the round-robin replacement
+  // evicts rows that come back later, and the most recently hit row goes
+  // stale at every switch. Every output must still be the very double a
+  // direct 1 - exp(-dt/tau) cascade produces.
+  const std::vector<double> taus = {40.0, 25.0};
+  const double gain = 0.9;
+  const double midpoint = 2000.0;
+  FilterChain chain;
+  for (double tau : taus) {
+    chain.add_pole(Picoseconds{tau});
+  }
+  chain.set_gain(gain, Millivolts{midpoint});
+  chain.reset(Millivolts{1600.0});
+  const double start = midpoint + gain * (1600.0 - midpoint);
+  std::vector<double> state(taus.size(), start);
+
+  const std::vector<double> dts = {0.5,  0.25, 0.125, 0.1,  0.3,   0.49,
+                                   0.01, 1.0,  2.5,   0.37, 1e-9, 0.5 / 3.0};
+  Rng rng(0xA1FAull);
+  std::size_t steps = 0;
+  for (int run = 0; run < 600; ++run) {
+    const double dt = dts[rng.below(dts.size())];
+    const double u = rng.chance(0.5) ? 2400.0 : 1600.0;
+    const std::uint64_t len = 1 + rng.below(4);
+    for (std::uint64_t k = 0; k < len; ++k, ++steps) {
+      double x = midpoint + gain * (u - midpoint);
+      for (std::size_t i = 0; i < taus.size(); ++i) {
+        state[i] += (x - state[i]) * (1.0 - std::exp(-dt / taus[i]));
+        x = state[i];
+      }
+      const double got = chain.step(Millivolts{u}, Picoseconds{dt}).mv();
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(x))
+          << "step " << steps << " dt=" << dt;
+    }
+  }
+  EXPECT_GT(steps, 1000u);
 }
 
 // --------------------------------------------------------------- render --

@@ -1,8 +1,11 @@
 // Unit tests for src/util: units, RNG, bit vectors, statistics, tables.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -432,6 +435,110 @@ TEST(RunningStats, RmsVersusStddev) {
   offset.add(5.0);
   EXPECT_DOUBLE_EQ(offset.rms(), 5.0);
   EXPECT_DOUBLE_EQ(offset.stddev(), 0.0);
+}
+
+// The fmod-based fold positive_mod had before its fma fast path.
+double positive_mod_reference(double x, double m) {
+  double r = std::fmod(x, m);
+  if (r < 0.0) {
+    r += m;
+  }
+  return r;
+}
+
+TEST(Stats, PositiveModMatchesFmodBitForBit) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> moduli = {1e6 / 3.0, 312.5, 0.1, 1.0, 3.0, 7e-3,
+                                std::nextafter(1.0, 2.0), 1e300,
+                                std::numeric_limits<double>::denorm_min(),
+                                3.0 * std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min() / 3.0,
+                                std::numeric_limits<double>::max()};
+  // m = 2 UI, the eye fold's span, at every paper rate (and 3 Gbps, whose
+  // UI is not a whole number of ps).
+  for (double gbps : {1.0, 1.25, 2.5, 3.0, 4.0, 5.0, 8.0, 10.0}) {
+    moduli.push_back(2.0 * GbitsPerSec{gbps}.unit_interval().ps());
+    moduli.push_back(GbitsPerSec{gbps}.unit_interval().ps());
+  }
+
+  std::size_t checked = 0;
+  auto expect_same = [&](double x, double m) {
+    ++checked;
+    const double got = positive_mod(x, m);
+    const double want = positive_mod_reference(x, m);
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << "x=" << x << " m=" << m;
+      return;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << std::hexfloat << "x=" << x << " m=" << m << " got=" << got
+        << " want=" << want;
+  };
+  // x and its neighbours n ulps either side, positive and negative.
+  auto expect_around = [&](double x, double m) {
+    double up = x;
+    double down = x;
+    for (int n = 0; n <= 3; ++n) {
+      expect_same(up, m);
+      expect_same(down, m);
+      expect_same(-up, m);
+      expect_same(-down, m);
+      up = std::nextafter(up, kInf);
+      down = std::nextafter(down, -kInf);
+    }
+  };
+
+  Rng rng(0xF0D5EEDull);
+  for (double m : moduli) {
+    // Seeded random x over many binades around m.
+    for (int i = 0; i < 4000; ++i) {
+      const int e = static_cast<int>(rng.below(120)) - 60;
+      const double x = std::ldexp(m * rng.uniform(0.5, 1.0), e);
+      expect_same(x, m);
+      expect_same(-x, m);
+    }
+    // Adversarial x = k*m +- n ulp, where trunc(x / m) is most often one
+    // too many.
+    for (double k : {0.0, 1.0, 2.0, 3.0, 7.0, 10.0, 1000.0, 12345.0, 1e6,
+                     1e9, 1e12, 1e15}) {
+      const double km = k * m;
+      if (std::isfinite(km)) {
+        expect_around(km, m);
+      }
+    }
+    for (int i = 0; i < 2000; ++i) {
+      const double k = std::floor(
+          std::ldexp(rng.uniform(), static_cast<int>(rng.below(50))));
+      const double km = k * m;
+      if (std::isfinite(km)) {
+        expect_around(km, m);
+      }
+    }
+    // Near the fast path's quotient limit of 2^52, both sides.
+    for (double k : {0x1p52 - 2.0, 0x1p52 - 1.0, 0x1p52, 0x1p52 + 2.0,
+                     0x1p53}) {
+      const double km = k * m;
+      if (std::isfinite(km)) {
+        expect_around(km, m);
+      }
+    }
+    // Signed zeros, the smallest values, and non-finite x.
+    for (double x : {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+                     std::numeric_limits<double>::min(), kInf, -kInf, kNan,
+                     std::numeric_limits<double>::max()}) {
+      expect_same(x, m);
+      expect_same(-x, m);
+    }
+  }
+  // Non-finite and zero moduli.
+  for (double m : {kInf, kNan, 0.0}) {
+    for (double x : {0.0, 1.5, -1.5, 1e300, kInf}) {
+      expect_same(x, m);
+    }
+  }
+  EXPECT_GT(checked, 300000u);
 }
 
 TEST(Histogram, CountsAndOverflow) {
