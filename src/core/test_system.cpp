@@ -12,7 +12,6 @@
 #include "signal/sinks.hpp"
 #include "util/error.hpp"
 #include "util/env.hpp"
-#include "util/parallel.hpp"
 
 namespace mgt::core {
 
@@ -263,19 +262,12 @@ fault::HealthReport TestSystem::self_test() {
                ok ? "" : "edge lost in hookup");
   }
 
-  // Observability: surface MGT_THREADS misconfiguration (the parse layer
-  // rejected the value and fell back to serial) and fold a census of the
+  // Observability: surface rejected environment knobs (each keeps its
+  // default; a rejected MGT_THREADS runs serial) and fold a census of the
   // metrics registry into the report.
   {
     obs::refresh_bridged();
-    const std::uint64_t rejections = util::thread_env_rejections();
-    const std::uint64_t env_rejections = util::env_rejections();
-    if (rejections > 0) {
-      report.add("obs", fault::HealthStatus::kDegraded,
-                 "MGT_THREADS rejected as malformed or out of range (" +
-                     std::to_string(rejections) +
-                     " parse rejections); running serial");
-    } else if (env_rejections > 0) {
+    if (util::env_rejections() > 0) {
       report.add("obs", fault::HealthStatus::kDegraded,
                  "malformed environment knobs rejected, defaults kept: " +
                      util::env_rejected_names());

@@ -1,7 +1,6 @@
 #include "obs/obs.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <iomanip>
 #include <map>
@@ -11,7 +10,6 @@
 
 #include "util/env.hpp"
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 
 namespace mgt::obs {
 
@@ -75,7 +73,7 @@ Registry::Registry() : impl_(new Impl) {
   // MGT_OBS=0 / off / false disables instrumentation for overhead-sensitive
   // runs; unset leaves it on and a malformed value keeps the default while
   // being counted in util::env_rejections ("mgt.env.rejected").
-  if (!util::env_flag("MGT_OBS").value_or(true)) {
+  if (!util::env_flag("MGT_OBS", true)) {
     enabled_.store(false, std::memory_order_relaxed);
   }
 }
@@ -292,7 +290,6 @@ void refresh_bridged() {
   if (!r.enabled()) {
     return;
   }
-  r.counter("mgt.threads.rejected").set(util::thread_env_rejections());
   r.counter("mgt.env.rejected").set(util::env_rejections());
 }
 

@@ -47,7 +47,7 @@ public:
     value_.fetch_add(n, std::memory_order_relaxed);
   }
   /// Overwrites the value. Serial sections only (used to bridge externally
-  /// tracked totals such as util::thread_env_rejections into the registry).
+  /// tracked totals such as util::env_rejections into the registry).
   void set(std::uint64_t v) { value_.store(v, std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
@@ -246,9 +246,9 @@ private:
   bool armed_;
 };
 
-/// Re-reads externally tracked totals (today: the MGT_THREADS rejection
-/// count from util/parallel) into their bridge counters so snapshots and
-/// health reports see them. Serial sections only.
+/// Re-reads the externally tracked total (util::env_rejections, the count
+/// of rejected MGT_* knob values) into counter "mgt.env.rejected" so
+/// snapshots and health reports see it. Serial sections only.
 void refresh_bridged();
 
 }  // namespace mgt::obs

@@ -17,10 +17,11 @@ namespace {
 /// disabled run never pays for it.
 class TelemetryTap final : public WaveformSink {
 public:
-  TelemetryTap(std::size_t decimation, double dt_ps)
-      : decimation_(decimation == 0 ? 1 : decimation), dt_ps_(dt_ps) {}
+  explicit TelemetryTap(double dt_ps) : dt_ps_(dt_ps) {}
 
   static constexpr std::size_t kChunkSamples = 512;
+  static constexpr std::size_t kDecimation =
+      telemetry::Hub::kWaveformDecimation;
 
   void on_block(const SampleBlock& block) override {
     for (std::size_t i = 0; i < block.size; ++i) {
@@ -33,7 +34,7 @@ public:
           publish();
         }
       }
-      phase_ = (phase_ + 1 == decimation_) ? 0 : phase_ + 1;
+      phase_ = (phase_ + 1 == kDecimation) ? 0 : phase_ + 1;
       ++index_;
     }
   }
@@ -46,13 +47,12 @@ public:
 
 private:
   void publish() {
-    chunk_.decimation = static_cast<std::uint32_t>(decimation_);
+    chunk_.decimation = static_cast<std::uint32_t>(kDecimation);
     chunk_.dt_ps = dt_ps_;
     telemetry::Hub::instance().publish_waveform(index_, std::move(chunk_));
     chunk_ = telemetry::WaveformChunk{};
   }
 
-  std::size_t decimation_;
   double dt_ps_;
   std::size_t phase_ = 0;
   std::uint64_t index_ = 0;  // source-grid sample index, used as the tick
@@ -161,7 +161,7 @@ void render(const EdgeStream& stream, FilterChain chain,
     // Tee the render through a decimating telemetry tap. The tap is one
     // more sink; the real sinks see exactly the same samples, so the
     // simulation results stay byte-identical to a telemetry-off run.
-    TelemetryTap tap(hub.decimation(), config.sample_step.ps());
+    TelemetryTap tap(config.sample_step.ps());
     std::vector<WaveformSink*> tee = sinks;
     tee.push_back(&tap);
     run_window(stream, chain, config, t_begin, 0, 0, total, tee);

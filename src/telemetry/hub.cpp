@@ -10,7 +10,8 @@ namespace mgt::telemetry {
 
 namespace {
 
-constexpr std::uint64_t kDefaultBufBytes = 4ull << 20;
+/// Total pending-record budget across the three streams.
+constexpr std::uint64_t kBufferBytes = 4ull << 20;
 
 struct RingPlan {
   std::size_t waveform_records;
@@ -18,29 +19,15 @@ struct RingPlan {
   std::size_t plans_records;
 };
 
-/// Splits the MGT_TELEMETRY_BUF_MB budget into per-stream record capacities
-/// using typical record footprints (a 512-sample chunk ≈ 4 KB, a chunked
-/// obs snapshot ≈ 8 KB, a plan summary ≈ 256 B). The split is a sizing
-/// heuristic; the *bound* itself is exact — each ring sheds oldest-first
-/// past its capacity, so pending memory is constant regardless of offered
-/// volume.
-RingPlan ring_plan() {
-  const std::uint64_t budget =
-      util::env_size_mb("MGT_TELEMETRY_BUF_MB").value_or(kDefaultBufBytes);
-  RingPlan plan;
-  plan.waveform_records =
-      std::max<std::size_t>(16, static_cast<std::size_t>(budget / 2 / 4096));
-  plan.metrics_records =
-      std::max<std::size_t>(16, static_cast<std::size_t>(budget / 4 / 8192));
-  plan.plans_records =
-      std::max<std::size_t>(16, static_cast<std::size_t>(budget / 4 / 256));
-  return plan;
-}
-
-std::size_t env_decimation() {
-  return static_cast<std::size_t>(
-      util::env_u64("MGT_TELEMETRY_DECIM", 1, 1u << 20).value_or(64));
-}
+/// Splits kBufferBytes into per-stream record capacities using typical
+/// record footprints (a 512-sample chunk ≈ 4 KB, a chunked obs snapshot
+/// ≈ 8 KB, a plan summary ≈ 256 B). The split is a sizing heuristic; the
+/// *bound* itself is exact — each ring sheds oldest-first past its
+/// capacity, so pending memory is constant regardless of offered volume.
+constexpr RingPlan kRingPlan{
+    std::max<std::size_t>(16, kBufferBytes / 2 / 4096),
+    std::max<std::size_t>(16, kBufferBytes / 4 / 8192),
+    std::max<std::size_t>(16, kBufferBytes / 4 / 256)};
 
 }  // namespace
 
@@ -50,11 +37,10 @@ Hub& Hub::instance() {
 }
 
 Hub::Hub()
-    : env_enabled_(util::env_flag("MGT_TELEMETRY").value_or(false)),
-      decimation_(env_decimation()),
-      waveform_({kWaveformStreamId, "waveform", ring_plan().waveform_records}),
-      metrics_({kMetricsStreamId, "metrics", ring_plan().metrics_records}),
-      plans_({kPlansStreamId, "plans", ring_plan().plans_records}) {}
+    : env_enabled_(util::env_flag("MGT_TELEMETRY", false)),
+      waveform_({kWaveformStreamId, "waveform", kRingPlan.waveform_records}),
+      metrics_({kMetricsStreamId, "metrics", kRingPlan.metrics_records}),
+      plans_({kPlansStreamId, "plans", kRingPlan.plans_records}) {}
 
 void Hub::publish_waveform(std::uint64_t tick, WaveformChunk chunk) {
   if (!enabled()) {
@@ -131,10 +117,11 @@ Hub::Stats Hub::stats() const {
 
 void Hub::reset_for_test() {
   std::lock_guard<std::mutex> lock(mutex_);
-  const RingPlan plan = ring_plan();
-  waveform_ = StreamEncoder({kWaveformStreamId, "waveform", plan.waveform_records});
-  metrics_ = StreamEncoder({kMetricsStreamId, "metrics", plan.metrics_records});
-  plans_ = StreamEncoder({kPlansStreamId, "plans", plan.plans_records});
+  waveform_ =
+      StreamEncoder({kWaveformStreamId, "waveform", kRingPlan.waveform_records});
+  metrics_ =
+      StreamEncoder({kMetricsStreamId, "metrics", kRingPlan.metrics_records});
+  plans_ = StreamEncoder({kPlansStreamId, "plans", kRingPlan.plans_records});
 }
 
 ScopedTelemetry::ScopedTelemetry(bool on)

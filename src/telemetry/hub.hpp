@@ -14,11 +14,10 @@
 // section) a data-race-free bug instead of UB, and keeps TSan quiet in
 // tests that exercise the hub directly.
 //
-// Knobs:
-//   MGT_TELEMETRY         on/off (default off); ScopedTelemetry overrides
-//   MGT_TELEMETRY_BUF_MB  total pending-record budget, split across
-//                         streams (default 4 MB; strict util::env_size_mb)
-//   MGT_TELEMETRY_DECIM   waveform decimation factor (default 64)
+// Knob: MGT_TELEMETRY on/off (default off; strict util::env_flag);
+// ScopedTelemetry overrides it. The pending-record budget (4 MiB, split
+// across the streams) and the waveform decimation (kWaveformDecimation)
+// are fixed constants.
 #pragma once
 
 #include <atomic>
@@ -56,8 +55,8 @@ public:
     return override_.load(std::memory_order_relaxed);
   }
 
-  /// Waveform decimation factor for taps (>= 1; MGT_TELEMETRY_DECIM).
-  [[nodiscard]] std::size_t decimation() const { return decimation_; }
+  /// Waveform tap decimation: one sample in every kWaveformDecimation.
+  static constexpr std::size_t kWaveformDecimation = 64;
 
   // ---------------------------------------------------------- publishing --
   // All no-ops when disabled. Serial sections only.
@@ -96,7 +95,6 @@ private:
 
   bool env_enabled_ = false;
   std::atomic<int> override_{-1};
-  std::size_t decimation_ = 64;
 
   mutable std::mutex mutex_;
   StreamEncoder waveform_;

@@ -1,6 +1,5 @@
 #include "util/env.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <mutex>
 #include <string_view>
@@ -27,6 +26,22 @@ void count_rejection(const char* name) {
   g_rejected_names.emplace_back(name);
 }
 
+/// The one getenv in src/: unset or empty keeps `fallback` silently; a
+/// value `parse` refuses keeps it too, but is counted and named.
+template <typename T, typename Parse>
+T read_knob(const char* name, T fallback, Parse parse) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') {
+    return fallback;
+  }
+  const std::optional<T> parsed = parse(raw);
+  if (!parsed.has_value()) {
+    count_rejection(name);
+    return fallback;
+  }
+  return *parsed;
+}
+
 }  // namespace
 
 std::optional<std::uint64_t> parse_env_u64(const char* raw, std::uint64_t min,
@@ -37,7 +52,7 @@ std::optional<std::uint64_t> parse_env_u64(const char* raw, std::uint64_t min,
   const std::string_view text{raw};
   // Hand-rolled digits-only scan: strtoul would silently accept leading
   // whitespace, a '+' sign, and saturate out-of-range magnitudes — all of
-  // which we want to reject, matching parse_thread_count's strictness.
+  // which we want to reject.
   std::uint64_t value = 0;
   for (const char c : text) {
     if (c < '0' || c > '9') {
@@ -69,60 +84,15 @@ std::optional<bool> parse_env_flag(const char* raw) {
   return std::nullopt;
 }
 
-std::optional<std::uint64_t> parse_env_size_mb(const char* raw,
-                                               std::uint64_t min_mb,
-                                               std::uint64_t max_mb) {
-  // Clamp the caller's ceiling so the MB→bytes shift below cannot
-  // overflow even when max_mb is the default "anything".
-  const std::uint64_t cap_mb =
-      std::min<std::uint64_t>(max_mb, (~0ULL) >> 20);
-  const std::optional<std::uint64_t> mb = parse_env_u64(raw, min_mb, cap_mb);
-  if (!mb.has_value()) {
-    return std::nullopt;
-  }
-  return *mb << 20;
+std::uint64_t env_u64(const char* name, std::uint64_t fallback,
+                      std::uint64_t min, std::uint64_t max) {
+  return read_knob(name, fallback, [&](const char* raw) {
+    return parse_env_u64(raw, min, max);
+  });
 }
 
-EnvValue<std::uint64_t> env_u64(const char* name, std::uint64_t min,
-                                std::uint64_t max) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') {
-    return {EnvParseStatus::kUnset, 0};
-  }
-  const std::optional<std::uint64_t> parsed = parse_env_u64(raw, min, max);
-  if (!parsed.has_value()) {
-    count_rejection(name);
-    return {EnvParseStatus::kRejected, 0};
-  }
-  return {EnvParseStatus::kParsed, *parsed};
-}
-
-EnvValue<bool> env_flag(const char* name) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') {
-    return {EnvParseStatus::kUnset, false};
-  }
-  const std::optional<bool> parsed = parse_env_flag(raw);
-  if (!parsed.has_value()) {
-    count_rejection(name);
-    return {EnvParseStatus::kRejected, false};
-  }
-  return {EnvParseStatus::kParsed, *parsed};
-}
-
-EnvValue<std::uint64_t> env_size_mb(const char* name, std::uint64_t min_mb,
-                                    std::uint64_t max_mb) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') {
-    return {EnvParseStatus::kUnset, 0};
-  }
-  const std::optional<std::uint64_t> parsed =
-      parse_env_size_mb(raw, min_mb, max_mb);
-  if (!parsed.has_value()) {
-    count_rejection(name);
-    return {EnvParseStatus::kRejected, 0};
-  }
-  return {EnvParseStatus::kParsed, *parsed};
+bool env_flag(const char* name, bool fallback) {
+  return read_knob(name, fallback, parse_env_flag);
 }
 
 std::uint64_t env_rejections() {

@@ -1,16 +1,17 @@
-// Strict environment-variable parsing.
+// Strict environment-variable parsing: the one reader of MGT_* knobs.
 //
-// Every MGT_* knob goes through these helpers so misconfiguration behaves
-// the same everywhere: a malformed value is *rejected* (the caller keeps
-// its safe default) and *counted*, never silently truncated or partially
-// parsed. The rejection totals are bridged into the obs registry as the
-// counter "mgt.env.rejected" (see obs::refresh_bridged) so a typo'd knob
-// is visible in every metrics snapshot and self-test report — the same
-// discipline util::parse_thread_count established for MGT_THREADS.
+// Every MGT_* knob (MGT_THREADS, MGT_OBS, MGT_TELEMETRY) goes through these
+// helpers, and nothing else in src/ calls getenv, so misconfiguration
+// behaves the same everywhere: a malformed value is *rejected* (the caller
+// keeps its default) and *counted*, never silently truncated or partially
+// parsed. The rejection total is bridged into the obs registry as the
+// counter "mgt.env.rejected" (see obs::refresh_bridged), and
+// TestSystem::self_test() names the rejected knobs, so a typo'd knob is
+// visible in every metrics snapshot and self-test report.
 //
 // The parse_* functions are pure (they take the raw string) so the whole
-// rejection matrix is unit-testable; the env_* wrappers read getenv and
-// count rejections.
+// rejection matrix is unit-testable; the env_* wrappers read the
+// environment and count rejections.
 #pragma once
 
 #include <cstdint>
@@ -19,10 +20,11 @@
 
 namespace mgt::util {
 
-/// Strict parse of a positive integer knob (e.g. MGT_TELEMETRY_DECIM).
+/// Strict parse of a whole-number knob (e.g. MGT_THREADS). Digits only:
 /// nullptr/empty mean "unset" and return nullopt WITHOUT counting a
-/// rejection; trailing garbage ("64x"), negatives, zero when `min` > 0,
-/// non-digits and out-of-range magnitudes are malformed. Pure.
+/// rejection; a sign ("+4", "-1"), whitespace (" 8", "8 "), trailing
+/// garbage ("8x"), fractions, hex, values outside [min, max] and
+/// magnitudes past 64 bits are malformed. Pure.
 std::optional<std::uint64_t> parse_env_u64(const char* raw,
                                            std::uint64_t min = 1,
                                            std::uint64_t max = ~0ULL);
@@ -32,47 +34,15 @@ std::optional<std::uint64_t> parse_env_u64(const char* raw,
 /// nullptr/empty mean "unset". Anything else is malformed. Pure.
 std::optional<bool> parse_env_flag(const char* raw);
 
-/// Strict parse of a size-in-mebibytes knob (MGT_TELEMETRY_BUF_MB): the
-/// digits-only grammar of parse_env_u64 with the MB→bytes conversion
-/// applied and overflow-checked, so every size knob shares one grammar and
-/// one failure mode. Returns BYTES.
-/// `min_mb`/`max_mb` bound the accepted value in MB; values whose byte
-/// count would overflow 64 bits are malformed. Pure.
-std::optional<std::uint64_t> parse_env_size_mb(
-    const char* raw, std::uint64_t min_mb = 1,
-    std::uint64_t max_mb = (~0ULL) >> 20);
+/// Reads integer knob `name`: its parsed value, or `fallback` when it is
+/// unset or malformed. A malformed value is counted and named (see
+/// env_rejections / env_rejected_names).
+std::uint64_t env_u64(const char* name, std::uint64_t fallback,
+                      std::uint64_t min = 1, std::uint64_t max = ~0ULL);
 
-/// Outcome of an env_* read, distinguishing "knob absent" from "knob
-/// malformed" so call sites can count and report the latter.
-enum class EnvParseStatus { kUnset, kParsed, kRejected };
-
-template <typename T>
-struct EnvValue {
-  EnvParseStatus status = EnvParseStatus::kUnset;
-  T value{};  // meaningful only when status == kParsed
-
-  [[nodiscard]] bool parsed() const { return status == EnvParseStatus::kParsed; }
-  [[nodiscard]] bool rejected() const {
-    return status == EnvParseStatus::kRejected;
-  }
-  /// The parsed value, or `fallback` when unset/rejected.
-  [[nodiscard]] T value_or(T fallback) const {
-    return parsed() ? value : fallback;
-  }
-};
-
-/// Reads and strictly parses an integer knob from the environment. A
-/// malformed value increments the process-wide rejection count (tagged
-/// with `name` for the log line) and reports kRejected.
-EnvValue<std::uint64_t> env_u64(const char* name, std::uint64_t min = 1,
-                                std::uint64_t max = ~0ULL);
-
-/// Reads and strictly parses an on/off knob from the environment.
-EnvValue<bool> env_flag(const char* name);
-
-/// Reads and strictly parses a size-in-MB knob; `value` is in BYTES.
-EnvValue<std::uint64_t> env_size_mb(const char* name, std::uint64_t min_mb = 1,
-                                    std::uint64_t max_mb = (~0ULL) >> 20);
+/// Reads on/off knob `name`: its parsed value, or `fallback` when it is
+/// unset or malformed. A malformed value is counted and named.
+bool env_flag(const char* name, bool fallback);
 
 /// How many environment knob values were rejected by env_u64/env_flag in
 /// this process. Bridged into obs as counter "mgt.env.rejected".

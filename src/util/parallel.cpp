@@ -1,13 +1,11 @@
 #include "util/parallel.hpp"
 
-#include <atomic>
-#include <cerrno>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace mgt::util {
@@ -22,44 +20,10 @@ std::uint64_t splitmix64_next(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::atomic<std::uint64_t> g_env_rejections{0};
-
-std::size_t env_thread_count() {
-  const std::optional<std::size_t> parsed =
-      parse_thread_count(std::getenv("MGT_THREADS"));
-  if (!parsed.has_value()) {
-    // Misconfiguration falls back to the serial path (always correct) and
-    // is counted so metrics snapshots / self_test can surface it.
-    g_env_rejections.fetch_add(1, std::memory_order_relaxed);
-    return 0;
-  }
-  return *parsed;
-}
-
 // Override state: -1 = no override, >= 0 = forced worker count.
 long long g_override = -1;
 
 }  // namespace
-
-std::optional<std::size_t> parse_thread_count(const char* raw) {
-  if (raw == nullptr || *raw == '\0') {
-    return 0;  // unset, not malformed
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0') {
-    return std::nullopt;  // no digits, or trailing garbage ("8x", "8 ")
-  }
-  if (errno == ERANGE || parsed < 0) {
-    return std::nullopt;  // strtol saturated at LONG_MIN/MAX, or negative
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
-std::uint64_t thread_env_rejections() {
-  return g_env_rejections.load(std::memory_order_relaxed);
-}
 
 std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t task_index) {
   // Two dependent splitmix64 rounds: the first whitens the seed, the second
@@ -78,7 +42,9 @@ std::size_t thread_count() {
   if (g_override >= 0) {
     return static_cast<std::size_t>(g_override);
   }
-  static const std::size_t env = env_thread_count();
+  // Read once per process; a malformed value keeps the serial default.
+  static const std::size_t env = static_cast<std::size_t>(
+      env_u64("MGT_THREADS", 0, 0, kMaxThreads));
   return env;
 }
 

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -36,23 +35,16 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t task_index);
 /// with `seed`. Two distinct (seed, index) pairs yield decorrelated streams.
 Rng task_rng(std::uint64_t seed, std::uint64_t task_index);
 
-/// Strict parse of an MGT_THREADS-style worker-count string. Returns the
-/// count (nullptr/empty mean "unset" and parse as 0), or nullopt for a
-/// malformed or out-of-range value: trailing garbage ("8x"), negatives,
-/// and magnitudes strtol can only saturate ("999...9" -> LONG_MAX) are all
-/// rejections, never silent truncations. Pure; exposed for the test matrix.
-std::optional<std::size_t> parse_thread_count(const char* raw);
-
-/// How many times the MGT_THREADS environment value was rejected by
-/// parse_thread_count and replaced with the serial fallback. Bridged into
-/// the obs registry as counter "mgt.threads.rejected" so misconfiguration
-/// is visible in metrics snapshots and self_test reports.
-std::uint64_t thread_env_rejections();
+/// Largest accepted MGT_THREADS value. Anything above it is a typo, not a
+/// machine: it is rejected like any malformed knob and the run goes serial.
+inline constexpr std::uint64_t kMaxThreads = 256;
 
 /// Worker count this process would use for parallel sections:
 ///   - set_thread_override(n) wins if called (tests, benches),
-///   - else the MGT_THREADS environment variable (parsed once),
-///   - else 0.
+///   - else the MGT_THREADS environment variable, read once through
+///     util::env_u64 with bounds [0, kMaxThreads],
+///   - else 0 (also when MGT_THREADS is malformed; the rejection is counted
+///     in util::env_rejections).
 /// 0 means "serial fallback": parallel_for runs tasks inline on the caller.
 std::size_t thread_count();
 

@@ -1,8 +1,9 @@
 // Observability-layer suite (`ctest -L obs`).
 //
 // Three families:
-//  - regression tests for the histogram quantile/mode fixes and the strict
-//    MGT_THREADS parser (each written to fail against the pre-fix code),
+//  - regression tests for the histogram quantile/mode fixes (each written
+//    to fail against the pre-fix code) and the rejected-knob self-test
+//    report, in process and through a real MGT_THREADS=8x environment,
 //  - registry semantics: registration, reset, disabled mode, spans,
 //    profile scopes, the bench JSON document,
 //  - the determinism contract itself: a mixed workload (eye acquisition,
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "minitester/array.hpp"
 #include "obs/benchjson.hpp"
 #include "obs/obs.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
@@ -104,43 +107,6 @@ TEST(HistogramQuantile, OutOfRangeMassOnlyStillThrows) {
   EXPECT_THROW((void)h.quantile(0.5), Error);
   // Pre-fix, mode_bin of an empty histogram silently reported bin 0.
   EXPECT_THROW((void)h.mode_bin(), Error);
-}
-
-// ----------------------------------------------- MGT_THREADS parsing fix --
-
-TEST(ParseThreadCount, AcceptsPlainCounts) {
-  EXPECT_EQ(util::parse_thread_count("8"), 8u);
-  EXPECT_EQ(util::parse_thread_count("0"), 0u);
-  EXPECT_EQ(util::parse_thread_count("+4"), 4u);
-  EXPECT_EQ(util::parse_thread_count("16"), 16u);
-}
-
-TEST(ParseThreadCount, UnsetMeansZero) {
-  EXPECT_EQ(util::parse_thread_count(nullptr), 0u);
-  EXPECT_EQ(util::parse_thread_count(""), 0u);
-}
-
-TEST(ParseThreadCount, RejectsTrailingGarbage) {
-  // Pre-fix, strtol silently truncated "8x" to 8 and " 8 " to 8.
-  EXPECT_FALSE(util::parse_thread_count("8x").has_value());
-  EXPECT_FALSE(util::parse_thread_count("8 ").has_value());
-  EXPECT_FALSE(util::parse_thread_count("1.5").has_value());
-  EXPECT_FALSE(util::parse_thread_count("x").has_value());
-  EXPECT_FALSE(util::parse_thread_count("eight").has_value());
-}
-
-TEST(ParseThreadCount, RejectsNegativeAndOutOfRange) {
-  EXPECT_FALSE(util::parse_thread_count("-1").has_value());
-  // Pre-fix, strtol saturated this to LONG_MAX and the cast accepted it.
-  EXPECT_FALSE(
-      util::parse_thread_count("99999999999999999999999999").has_value());
-  EXPECT_FALSE(
-      util::parse_thread_count("-99999999999999999999999999").has_value());
-}
-
-TEST(ParseThreadCount, HexIsGarbageNotBase16) {
-  // Base-10 parse: "0x8" stops at 'x', which is trailing garbage.
-  EXPECT_FALSE(util::parse_thread_count("0x8").has_value());
 }
 
 // ------------------------------------------------------ registry basics --
@@ -255,10 +221,10 @@ TEST_F(ObsTest, ProfileScopeSeparatesTicksFromWallClock) {
             std::string::npos);
 }
 
-TEST_F(ObsTest, BridgedThreadRejectionsAppearInSnapshot) {
+TEST_F(ObsTest, BridgedEnvRejectionsAppearInSnapshot) {
   const std::string snap = obs::registry().snapshot();
-  EXPECT_NE(snap.find("counter mgt.threads.rejected " +
-                      std::to_string(util::thread_env_rejections())),
+  EXPECT_NE(snap.find("counter mgt.env.rejected " +
+                      std::to_string(util::env_rejections())),
             std::string::npos);
 }
 
@@ -377,6 +343,40 @@ TEST_F(ObsTest, SelfTestReportsObsComponent) {
   ASSERT_NE(obs_health, nullptr);
   EXPECT_EQ(obs_health->status, fault::HealthStatus::kOk);
   EXPECT_NE(obs_health->detail.find("counters"), std::string::npos);
+}
+
+TEST_F(ObsTest, SelfTestDegradesAndNamesRejectedKnobs) {
+  util::reset_env_rejections_for_test();
+  setenv("MGT_TEST_SELF_TEST_KNOB", "garbage", 1);
+  EXPECT_EQ(util::env_u64("MGT_TEST_SELF_TEST_KNOB", 3), 3u);
+  core::TestSystem sys(core::presets::optical_testbed(), 7);
+  const fault::HealthReport report = sys.self_test();
+  const fault::ComponentHealth* obs_health = report.find("obs");
+  ASSERT_NE(obs_health, nullptr);
+  EXPECT_EQ(obs_health->status, fault::HealthStatus::kDegraded);
+  EXPECT_NE(obs_health->detail.find("MGT_TEST_SELF_TEST_KNOB"),
+            std::string::npos);
+  unsetenv("MGT_TEST_SELF_TEST_KNOB");
+  util::reset_env_rejections_for_test();
+}
+
+// Runs only as the `obs.env.threads_rejected` ctest case, which sets
+// MGT_THREADS=8x for a fresh process: the real environment path, from
+// getenv through thread_count() to the self-test report.
+TEST(EnvProcess, MalformedThreadsRunsSerialAndDegradesSelfTest) {
+  const char* raw = std::getenv("MGT_THREADS");
+  if (raw == nullptr || std::string(raw) != "8x") {
+    GTEST_SKIP() << "needs MGT_THREADS=8x (ctest obs.env.threads_rejected)";
+  }
+  EXPECT_EQ(util::thread_count(), 0u);
+  EXPECT_NE(util::env_rejected_names().find("MGT_THREADS"),
+            std::string::npos);
+  core::TestSystem sys(core::presets::optical_testbed(), 8);
+  const fault::HealthReport report = sys.self_test();
+  const fault::ComponentHealth* obs_health = report.find("obs");
+  ASSERT_NE(obs_health, nullptr);
+  EXPECT_EQ(obs_health->status, fault::HealthStatus::kDegraded);
+  EXPECT_NE(obs_health->detail.find("MGT_THREADS"), std::string::npos);
 }
 
 TEST_F(ObsTest, SelfTestReportsDisabledMetrics) {

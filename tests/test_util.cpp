@@ -8,10 +8,12 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "util/bitvec.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -644,55 +646,33 @@ TEST(Env, U64AcceptsOnlyWholeInRangeIntegers) {
   EXPECT_EQ(util::parse_env_u64("0", 1), std::nullopt);
   EXPECT_EQ(util::parse_env_u64("9", 1, 8), std::nullopt);
   EXPECT_EQ(util::parse_env_u64("0", 0, 8), 0u);
-}
 
-TEST(Env, SizeMbSharesTheU64GrammarAndReturnsBytes) {
-  EXPECT_EQ(util::parse_env_size_mb("1"), 1ull << 20);
-  EXPECT_EQ(util::parse_env_size_mb("64"), 64ull << 20);
-  EXPECT_EQ(util::parse_env_size_mb("4096"), 4096ull << 20);
-
-  EXPECT_EQ(util::parse_env_size_mb(nullptr), std::nullopt);
-  EXPECT_EQ(util::parse_env_size_mb(""), std::nullopt);
-
-  // Same strict grammar as parse_env_u64: units, whitespace, fractions
-  // and signs are malformed, never partially parsed.
-  EXPECT_EQ(util::parse_env_size_mb("64MB"), std::nullopt);
-  EXPECT_EQ(util::parse_env_size_mb(" 64"), std::nullopt);
-  EXPECT_EQ(util::parse_env_size_mb("-4"), std::nullopt);
-  EXPECT_EQ(util::parse_env_size_mb("1.5"), std::nullopt);
-
-  // The MB→bytes conversion cannot overflow: 2^44-1 MB is the largest
-  // representable size; anything past it rejects instead of wrapping.
-  EXPECT_EQ(util::parse_env_size_mb("17592186044415"), (~0ULL) & ~0xFFFFFull);
-  EXPECT_EQ(util::parse_env_size_mb("17592186044416"), std::nullopt);
-  // Range bounds are expressed in MB, matching the knob's unit.
-  EXPECT_EQ(util::parse_env_size_mb("0"), std::nullopt);
-  EXPECT_EQ(util::parse_env_size_mb("9", 1, 8), std::nullopt);
-}
-
-TEST(Env, SizeMbReadsEnvironmentAndCountsRejections) {
-  util::reset_env_rejections_for_test();
-  setenv("MGT_TEST_SIZE_GOOD", "8", 1);
-  setenv("MGT_TEST_SIZE_BAD", "8MB", 1);
-
-  const util::EnvValue<std::uint64_t> good =
-      util::env_size_mb("MGT_TEST_SIZE_GOOD");
-  const util::EnvValue<std::uint64_t> bad =
-      util::env_size_mb("MGT_TEST_SIZE_BAD");
-  const util::EnvValue<std::uint64_t> unset =
-      util::env_size_mb("MGT_TEST_SIZE_UNSET");
-
-  EXPECT_TRUE(good.parsed());
-  EXPECT_EQ(good.value, 8ull << 20);
-  EXPECT_TRUE(bad.rejected());
-  EXPECT_EQ(bad.value_or(123), 123u) << "rejection keeps the caller's default";
-  EXPECT_EQ(unset.status, util::EnvParseStatus::kUnset);
-  EXPECT_EQ(util::env_rejections(), 1u);
-  EXPECT_EQ(util::env_rejected_names(), "MGT_TEST_SIZE_BAD");
-
-  unsetenv("MGT_TEST_SIZE_GOOD");
-  unsetenv("MGT_TEST_SIZE_BAD");
-  util::reset_env_rejections_for_test();
+  // MGT_THREADS reads through the same grammar with bounds
+  // [0, kMaxThreads]; unset keeps thread_count()'s serial default of 0.
+  const auto threads = [](const char* raw) {
+    return util::parse_env_u64(raw, 0, util::kMaxThreads);
+  };
+  EXPECT_EQ(threads("8"), 8u);
+  EXPECT_EQ(threads("0"), 0u);
+  EXPECT_EQ(threads("16"), 16u);
+  EXPECT_EQ(threads(nullptr), std::nullopt);
+  EXPECT_EQ(threads(""), std::nullopt);
+  EXPECT_EQ(threads("8x"), std::nullopt);
+  EXPECT_EQ(threads("8 "), std::nullopt);
+  EXPECT_EQ(threads(" 8"), std::nullopt);
+  EXPECT_EQ(threads("+4"), std::nullopt);
+  EXPECT_EQ(threads("1.5"), std::nullopt);
+  EXPECT_EQ(threads("eight"), std::nullopt);
+  EXPECT_EQ(threads("-1"), std::nullopt);
+  EXPECT_EQ(threads("0x8"), std::nullopt);
+  EXPECT_EQ(threads("99999999999999999999999999"), std::nullopt);
+  EXPECT_EQ(threads("-99999999999999999999999999"), std::nullopt);
+  // A typo such as "80000" must not start 80,000 threads.
+  const std::string max = std::to_string(util::kMaxThreads);
+  const std::string over = std::to_string(util::kMaxThreads + 1);
+  EXPECT_EQ(threads(max.c_str()), util::kMaxThreads);
+  EXPECT_EQ(threads(over.c_str()), std::nullopt);
+  EXPECT_EQ(threads("80000"), std::nullopt);
 }
 
 TEST(Env, FlagAcceptsOnlyCanonicalSpellings) {
@@ -719,26 +699,27 @@ TEST(Env, RejectionsAreCountedAndNamed) {
   setenv("MGT_TEST_KNOB_B", "definitely", 1);
   setenv("MGT_TEST_KNOB_C", "32", 1);
 
-  const util::EnvValue<std::uint64_t> a = util::env_u64("MGT_TEST_KNOB_A");
-  const util::EnvValue<bool> b = util::env_flag("MGT_TEST_KNOB_B");
-  const util::EnvValue<std::uint64_t> c = util::env_u64("MGT_TEST_KNOB_C");
-  const util::EnvValue<std::uint64_t> unset =
-      util::env_u64("MGT_TEST_KNOB_UNSET");
+  // A rejection keeps the caller's fallback; so does an unset knob, which
+  // is not counted. Only the well-formed value replaces the fallback.
+  EXPECT_EQ(util::env_u64("MGT_TEST_KNOB_A", 7), 7u);
+  EXPECT_EQ(util::env_rejections(), 1u);
+  EXPECT_TRUE(util::env_flag("MGT_TEST_KNOB_B", true));
+  EXPECT_FALSE(util::env_flag("MGT_TEST_KNOB_B", false));
+  EXPECT_EQ(util::env_rejections(), 3u);
+  EXPECT_EQ(util::env_u64("MGT_TEST_KNOB_C", 7), 32u);
+  EXPECT_EQ(util::env_u64("MGT_TEST_KNOB_UNSET", 7), 7u);
+  // Out-of-range is a rejection too, and keeps the fallback.
+  EXPECT_EQ(util::env_u64("MGT_TEST_KNOB_C", 7, 1, 16), 7u);
 
-  EXPECT_TRUE(a.rejected());
-  EXPECT_EQ(a.value_or(7), 7u) << "rejection keeps the caller's default";
-  EXPECT_TRUE(b.rejected());
-  EXPECT_TRUE(c.parsed());
-  EXPECT_EQ(c.value_or(7), 32u);
-  EXPECT_EQ(unset.status, util::EnvParseStatus::kUnset);
-
-  EXPECT_EQ(util::env_rejections(), 2u);
-  EXPECT_EQ(util::env_rejected_names(), "MGT_TEST_KNOB_A,MGT_TEST_KNOB_B");
+  EXPECT_EQ(util::env_rejections(), 4u);
+  EXPECT_EQ(util::env_rejected_names(),
+            "MGT_TEST_KNOB_A,MGT_TEST_KNOB_B,MGT_TEST_KNOB_C");
 
   // Re-rejecting the same knob counts but does not duplicate the name.
-  util::env_u64("MGT_TEST_KNOB_A");
-  EXPECT_EQ(util::env_rejections(), 3u);
-  EXPECT_EQ(util::env_rejected_names(), "MGT_TEST_KNOB_A,MGT_TEST_KNOB_B");
+  EXPECT_EQ(util::env_u64("MGT_TEST_KNOB_A", 7), 7u);
+  EXPECT_EQ(util::env_rejections(), 5u);
+  EXPECT_EQ(util::env_rejected_names(),
+            "MGT_TEST_KNOB_A,MGT_TEST_KNOB_B,MGT_TEST_KNOB_C");
 
   unsetenv("MGT_TEST_KNOB_A");
   unsetenv("MGT_TEST_KNOB_B");

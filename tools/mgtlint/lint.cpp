@@ -311,7 +311,7 @@ private:
   /// *report* failure instead of trusting the bytes; dropping that report
   /// turns hostile input into silent garbage. Applies to any call whose
   /// name starts with decode/parse in src/ (telemetry::decode_payload,
-  /// util::parse_env_u64, util::parse_thread_count, ...).
+  /// util::parse_env_u64, util::parse_env_flag, ...).
   static bool is_decode_call(std::string_view name) {
     return name.size() >= 6 &&
            (name.substr(0, 6) == "decode" || name.substr(0, 5) == "parse");
