@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,6 +109,54 @@ TEST(HistogramQuantile, OutOfRangeMassOnlyStillThrows) {
   EXPECT_THROW((void)h.quantile(0.5), Error);
   // Pre-fix, mode_bin of an empty histogram silently reported bin 0.
   EXPECT_THROW((void)h.mode_bin(), Error);
+}
+
+// ----------------------------------------------- MGT_THREADS parsing fix --
+
+// thread_count() reads MGT_THREADS through the shared env grammar with
+// bounds [0, kMaxThreads]; nullopt means the serial default of 0 is kept.
+std::optional<std::uint64_t> parse_threads(const char* raw) {
+  return util::parse_env_u64(raw, 0, util::kMaxThreads);
+}
+
+TEST(ParseThreadCount, AcceptsPlainCounts) {
+  EXPECT_EQ(parse_threads("8"), 8u);
+  EXPECT_EQ(parse_threads("0"), 0u);
+  EXPECT_EQ(parse_threads("16"), 16u);
+  const std::string max = std::to_string(util::kMaxThreads);
+  EXPECT_EQ(parse_threads(max.c_str()), util::kMaxThreads);
+}
+
+TEST(ParseThreadCount, UnsetMeansZero) {
+  EXPECT_EQ(parse_threads(nullptr), std::nullopt);
+  EXPECT_EQ(parse_threads(""), std::nullopt);
+}
+
+TEST(ParseThreadCount, RejectsTrailingGarbage) {
+  // strtol would silently truncate "8x" to 8 and " 8 " to 8.
+  EXPECT_EQ(parse_threads("8x"), std::nullopt);
+  EXPECT_EQ(parse_threads("8 "), std::nullopt);
+  EXPECT_EQ(parse_threads(" 8"), std::nullopt);
+  EXPECT_EQ(parse_threads("+4"), std::nullopt);
+  EXPECT_EQ(parse_threads("1.5"), std::nullopt);
+  EXPECT_EQ(parse_threads("x"), std::nullopt);
+  EXPECT_EQ(parse_threads("eight"), std::nullopt);
+}
+
+TEST(ParseThreadCount, RejectsNegativeAndOutOfRange) {
+  EXPECT_EQ(parse_threads("-1"), std::nullopt);
+  // strtol would saturate these to LONG_MAX/LONG_MIN.
+  EXPECT_EQ(parse_threads("99999999999999999999999999"), std::nullopt);
+  EXPECT_EQ(parse_threads("-99999999999999999999999999"), std::nullopt);
+  // A typo such as "80000" must not start 80,000 threads.
+  const std::string over = std::to_string(util::kMaxThreads + 1);
+  EXPECT_EQ(parse_threads(over.c_str()), std::nullopt);
+  EXPECT_EQ(parse_threads("80000"), std::nullopt);
+}
+
+TEST(ParseThreadCount, HexIsGarbageNotBase16) {
+  // Base-10 parse: "0x8" stops at 'x', which is trailing garbage.
+  EXPECT_EQ(parse_threads("0x8"), std::nullopt);
 }
 
 // ------------------------------------------------------ registry basics --

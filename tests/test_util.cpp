@@ -13,7 +13,6 @@
 #include "util/bitvec.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -646,33 +645,8 @@ TEST(Env, U64AcceptsOnlyWholeInRangeIntegers) {
   EXPECT_EQ(util::parse_env_u64("0", 1), std::nullopt);
   EXPECT_EQ(util::parse_env_u64("9", 1, 8), std::nullopt);
   EXPECT_EQ(util::parse_env_u64("0", 0, 8), 0u);
-
-  // MGT_THREADS reads through the same grammar with bounds
-  // [0, kMaxThreads]; unset keeps thread_count()'s serial default of 0.
-  const auto threads = [](const char* raw) {
-    return util::parse_env_u64(raw, 0, util::kMaxThreads);
-  };
-  EXPECT_EQ(threads("8"), 8u);
-  EXPECT_EQ(threads("0"), 0u);
-  EXPECT_EQ(threads("16"), 16u);
-  EXPECT_EQ(threads(nullptr), std::nullopt);
-  EXPECT_EQ(threads(""), std::nullopt);
-  EXPECT_EQ(threads("8x"), std::nullopt);
-  EXPECT_EQ(threads("8 "), std::nullopt);
-  EXPECT_EQ(threads(" 8"), std::nullopt);
-  EXPECT_EQ(threads("+4"), std::nullopt);
-  EXPECT_EQ(threads("1.5"), std::nullopt);
-  EXPECT_EQ(threads("eight"), std::nullopt);
-  EXPECT_EQ(threads("-1"), std::nullopt);
-  EXPECT_EQ(threads("0x8"), std::nullopt);
-  EXPECT_EQ(threads("99999999999999999999999999"), std::nullopt);
-  EXPECT_EQ(threads("-99999999999999999999999999"), std::nullopt);
-  // A typo such as "80000" must not start 80,000 threads.
-  const std::string max = std::to_string(util::kMaxThreads);
-  const std::string over = std::to_string(util::kMaxThreads + 1);
-  EXPECT_EQ(threads(max.c_str()), util::kMaxThreads);
-  EXPECT_EQ(threads(over.c_str()), std::nullopt);
-  EXPECT_EQ(threads("80000"), std::nullopt);
+  // MGT_THREADS's rows under [0, kMaxThreads] are the ParseThreadCount.*
+  // tests in test_obs.cpp.
 }
 
 TEST(Env, FlagAcceptsOnlyCanonicalSpellings) {
