@@ -10,8 +10,10 @@
 #include "obs/obs.hpp"
 #include "signal/render.hpp"
 #include "signal/sinks.hpp"
-#include "util/error.hpp"
+#include "telemetry/hub.hpp"
 #include "util/env.hpp"
+#include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace mgt::core {
 
@@ -264,8 +266,12 @@ fault::HealthReport TestSystem::self_test() {
 
   // Observability: surface rejected environment knobs (each keeps its
   // default; a rejected MGT_THREADS runs serial) and fold a census of the
-  // metrics registry into the report.
+  // metrics registry into the report. MGT_THREADS and MGT_TELEMETRY are
+  // otherwise read lazily (first parallel section, first render), so force
+  // both reads first: a malformed value shows even before anything renders.
   {
+    static_cast<void>(util::thread_count());
+    static_cast<void>(telemetry::Hub::instance().enabled());
     obs::refresh_bridged();
     if (util::env_rejections() > 0) {
       report.add("obs", fault::HealthStatus::kDegraded,

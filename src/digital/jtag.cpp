@@ -92,25 +92,31 @@ std::size_t TapDevice::dr_length() const {
   }
 }
 
+bool TapDevice::dr_bit(std::size_t i) const {
+  const std::size_t k = dr_head_ + i;
+  return dr_[k < dr_.size() ? k : k - dr_.size()];
+}
+
 void TapDevice::capture_dr() {
-  dr_shift_.assign(dr_length(), false);
+  dr_.assign(dr_length(), false);
+  dr_head_ = 0;
   switch (ir_) {
     case tap_ins::kIdcode:
       for (std::size_t i = 0; i < 32; ++i) {
-        dr_shift_[i] = (idcode_ >> i) & 1u;
+        dr_[i] = (idcode_ >> i) & 1u;
       }
       break;
     case tap_ins::kSample:
     case tap_ins::kExtest:
       for (std::size_t i = 0; i < pins_.size(); ++i) {
-        dr_shift_[i] = pins_[i];
+        dr_[i] = pins_[i];
       }
       break;
     case tap_ins::kFlashData:
       if (flash_ != nullptr && flash_addr_ < flash_->size()) {
         const std::uint8_t byte = flash_->read(flash_addr_);
         for (std::size_t i = 0; i < 8; ++i) {
-          dr_shift_[i] = (byte >> i) & 1u;
+          dr_[i] = (byte >> i) & 1u;
         }
       }
       break;
@@ -122,14 +128,17 @@ void TapDevice::capture_dr() {
 void TapDevice::update_dr() {
   auto dr_value = [&]() {
     std::uint64_t v = 0;
-    for (std::size_t i = 0; i < dr_shift_.size(); ++i) {
-      v |= static_cast<std::uint64_t>(dr_shift_[i]) << i;
+    for (std::size_t i = 0; i < dr_.size(); ++i) {
+      v |= static_cast<std::uint64_t>(dr_bit(i)) << i;
     }
     return v;
   };
   switch (ir_) {
     case tap_ins::kExtest:
-      driven_pins_.assign(dr_shift_.begin(), dr_shift_.end());
+      driven_pins_.resize(dr_.size());
+      for (std::size_t i = 0; i < dr_.size(); ++i) {
+        driven_pins_[i] = dr_bit(i);
+      }
       break;
     case tap_ins::kFlashAddr:
       flash_addr_ = static_cast<std::uint32_t>(dr_value());
@@ -157,12 +166,12 @@ bool TapDevice::clock(bool tms, bool tdi) {
     tdo = ir_shift_ & 1u;
     ir_shift_ = (ir_shift_ >> 1) |
                 (static_cast<std::uint64_t>(tdi) << (kIrLength - 1));
-  } else if (state_ == TapState::ShiftDr && !dr_shift_.empty()) {
-    tdo = dr_shift_.front();
-    for (std::size_t i = 0; i + 1 < dr_shift_.size(); ++i) {
-      dr_shift_[i] = dr_shift_[i + 1];
+  } else if (state_ == TapState::ShiftDr && !dr_.empty()) {
+    tdo = dr_[dr_head_];
+    dr_[dr_head_] = tdi;
+    if (++dr_head_ == dr_.size()) {
+      dr_head_ = 0;
     }
-    dr_shift_.back() = tdi;
   }
 
   state_ = tap_next_state(state_, tms);
@@ -217,51 +226,56 @@ void JtagHost::shift_ir(std::uint8_t instruction) {
   MGT_CHECK(device_.state() == TapState::RunTestIdle);
 }
 
-std::vector<bool> JtagHost::shift_dr(const std::vector<bool>& bits_in) {
-  MGT_CHECK(!bits_in.empty());
-  // RTI -> Select-DR -> Capture-DR -> Shift-DR
-  clock(true, false);
-  clock(false, false);
-  clock(false, false);
-  std::vector<bool> out;
-  out.reserve(bits_in.size());
-  for (std::size_t i = 0; i < bits_in.size(); ++i) {
-    const bool last = i + 1 == bits_in.size();
-    out.push_back(clock(last, bits_in[i]));
-  }
+void JtagHost::begin_dr_scan() {
+  clock(true, false);   // -> Select-DR
+  clock(false, false);  // -> Capture-DR
+  clock(false, false);  // -> Shift-DR
+}
+
+void JtagHost::end_dr_scan() {
   clock(true, false);   // Exit1-DR -> Update-DR
   clock(false, false);  // -> Run-Test/Idle
   MGT_CHECK(device_.state() == TapState::RunTestIdle);
+}
+
+std::vector<bool> JtagHost::shift_dr(const std::vector<bool>& bits_in) {
+  MGT_CHECK(!bits_in.empty());
+  begin_dr_scan();
+  std::vector<bool> out(bits_in.size());
+  for (std::size_t i = 0; i < bits_in.size(); ++i) {
+    const bool last = i + 1 == bits_in.size();
+    out[i] = clock(last, bits_in[i]);  // last bit exits Shift-DR
+  }
+  end_dr_scan();
+  return out;
+}
+
+std::uint64_t JtagHost::shift_dr_word(std::uint64_t bits, std::size_t n) {
+  MGT_CHECK(n >= 1 && n <= 64);
+  begin_dr_scan();
+  std::uint64_t out = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool last = i + 1 == n;
+    out |= static_cast<std::uint64_t>(clock(last, (bits >> i) & 1u)) << i;
+  }
+  end_dr_scan();
   return out;
 }
 
 std::uint32_t JtagHost::read_idcode() {
   shift_ir(tap_ins::kIdcode);
-  const auto bits = shift_dr(std::vector<bool>(32, false));
-  std::uint32_t id = 0;
-  for (std::size_t i = 0; i < 32; ++i) {
-    id |= static_cast<std::uint32_t>(bits[i]) << i;
-  }
-  return id;
+  return static_cast<std::uint32_t>(shift_dr_word(0, 32));
 }
 
 void JtagHost::write_flash_address(std::uint32_t addr) {
   shift_ir(tap_ins::kFlashAddr);
-  std::vector<bool> bits(32);
-  for (std::size_t i = 0; i < 32; ++i) {
-    bits[i] = (addr >> i) & 1u;
-  }
-  shift_dr(bits);
+  shift_dr_word(addr, 32);
 }
 
 void JtagHost::program_flash_bytes(const std::vector<std::uint8_t>& bytes) {
   shift_ir(tap_ins::kFlashData);
   for (std::uint8_t byte : bytes) {
-    std::vector<bool> bits(8);
-    for (std::size_t i = 0; i < 8; ++i) {
-      bits[i] = (byte >> i) & 1u;
-    }
-    shift_dr(bits);
+    shift_dr_word(byte, 8);
   }
 }
 
@@ -274,23 +288,14 @@ std::vector<std::uint8_t> JtagHost::read_flash_bytes(std::uint32_t addr,
     // back because Update-DR would program 0xFF (no bit cleared).
     write_flash_address(addr + static_cast<std::uint32_t>(k));
     shift_ir(tap_ins::kFlashData);
-    const auto bits = shift_dr(std::vector<bool>(8, true));
-    std::uint8_t byte = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      byte |= static_cast<std::uint8_t>(bits[i]) << i;
-    }
-    out.push_back(byte);
+    out.push_back(static_cast<std::uint8_t>(shift_dr_word(0xFF, 8)));
   }
   return out;
 }
 
 void JtagHost::erase_flash_sector(std::uint32_t sector) {
   shift_ir(tap_ins::kFlashErase);
-  std::vector<bool> bits(32);
-  for (std::size_t i = 0; i < 32; ++i) {
-    bits[i] = (sector >> i) & 1u;
-  }
-  shift_dr(bits);
+  shift_dr_word(sector, 32);
 }
 
 void JtagHost::program_flash_image(std::uint32_t addr,

@@ -78,6 +78,8 @@ public:
 
 private:
   [[nodiscard]] std::size_t dr_length() const;
+  /// Bit `i` of the DR as the standard numbers it (bit 0 = next TDO).
+  [[nodiscard]] bool dr_bit(std::size_t i) const;
   void capture_dr();
   void update_dr();
 
@@ -90,7 +92,11 @@ private:
   std::vector<bool> driven_pins_;
   // Shift registers (LSB-first shifting: TDO from bit 0, TDI into the top).
   std::uint64_t ir_shift_ = 0;
-  std::vector<bool> dr_shift_;
+  // The DR is a ring: bit i lives at dr_[(dr_head_ + i) % size], so one
+  // Shift-DR clock reads TDO at the head, writes TDI there and advances the
+  // head, O(1) whatever the register length.
+  std::vector<bool> dr_;
+  std::size_t dr_head_ = 0;
 };
 
 /// Host-side driver: wiggles TMS/TDI to navigate the TAP and run scans,
@@ -128,6 +134,14 @@ public:
 
 private:
   bool clock(bool tms, bool tdi);
+  /// Run-Test/Idle -> Select-DR -> Capture-DR -> Shift-DR.
+  void begin_dr_scan();
+  /// Exit1-DR -> Update-DR -> Run-Test/Idle.
+  void end_dr_scan();
+  /// shift_dr for the built-in scans: the low `n` bits of `bits` go in
+  /// LSB first (1 <= n <= 64), the `n` bits shifted out come back the same
+  /// way. Clocks exactly the TMS/TDI sequence shift_dr would.
+  std::uint64_t shift_dr_word(std::uint64_t bits, std::size_t n);
 
   TapDevice& device_;
   std::size_t tck_cycles_ = 0;

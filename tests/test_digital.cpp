@@ -337,6 +337,258 @@ TEST(Jtag, BoundaryScanSampleAndExtest) {
   EXPECT_EQ(tap.driven_pins(), (std::vector<bool>{false, true, false, true}));
 }
 
+/// The TAP as modelled before its DR became a ring: a plain vector<bool>
+/// that every Shift-DR clock moves one place, O(length) per clock. It is
+/// the reference TapDevice must match clock for clock.
+class ShiftRegisterTap {
+public:
+  ShiftRegisterTap(std::uint32_t idcode, FlashMemory* flash,
+                   std::size_t boundary_length)
+      : idcode_(idcode), flash_(flash), pins_(boundary_length, false),
+        driven_pins_(boundary_length, false) {}
+
+  bool clock(bool tms, bool tdi) {
+    bool tdo = false;
+    if (state_ == TapState::ShiftIr) {
+      tdo = ir_shift_ & 1u;
+      ir_shift_ = (ir_shift_ >> 1) |
+                  (static_cast<std::uint64_t>(tdi) << (TapDevice::kIrLength - 1));
+    } else if (state_ == TapState::ShiftDr && !dr_shift_.empty()) {
+      tdo = dr_shift_.front();
+      for (std::size_t i = 0; i + 1 < dr_shift_.size(); ++i) {
+        dr_shift_[i] = dr_shift_[i + 1];
+      }
+      dr_shift_.back() = tdi;
+    }
+    state_ = tap_next_state(state_, tms);
+    switch (state_) {
+      case TapState::TestLogicReset:
+        ir_ = tap_ins::kIdcode;
+        break;
+      case TapState::CaptureIr:
+        ir_shift_ = 0b01;
+        break;
+      case TapState::UpdateIr:
+        ir_ = static_cast<std::uint8_t>(ir_shift_ & 0xFFu);
+        break;
+      case TapState::CaptureDr:
+        capture_dr();
+        break;
+      case TapState::UpdateDr:
+        update_dr();
+        break;
+      default:
+        break;
+    }
+    return tdo;
+  }
+
+  void set_pins(const std::vector<bool>& pins) { pins_ = pins; }
+  [[nodiscard]] TapState state() const { return state_; }
+  [[nodiscard]] std::uint8_t instruction() const { return ir_; }
+  [[nodiscard]] const std::vector<bool>& driven_pins() const {
+    return driven_pins_;
+  }
+  [[nodiscard]] std::uint32_t flash_address() const { return flash_addr_; }
+
+private:
+  [[nodiscard]] std::size_t dr_length() const {
+    switch (ir_) {
+      case tap_ins::kIdcode:
+      case tap_ins::kFlashAddr:
+      case tap_ins::kFlashErase:
+        return 32;
+      case tap_ins::kSample:
+      case tap_ins::kExtest:
+        return pins_.size();
+      case tap_ins::kFlashData:
+        return 8;
+      default:
+        return 1;
+    }
+  }
+
+  void capture_dr() {
+    dr_shift_.assign(dr_length(), false);
+    if (ir_ == tap_ins::kIdcode) {
+      for (std::size_t i = 0; i < 32; ++i) {
+        dr_shift_[i] = (idcode_ >> i) & 1u;
+      }
+    } else if (ir_ == tap_ins::kSample || ir_ == tap_ins::kExtest) {
+      for (std::size_t i = 0; i < pins_.size(); ++i) {
+        dr_shift_[i] = pins_[i];
+      }
+    } else if (ir_ == tap_ins::kFlashData && flash_addr_ < flash_->size()) {
+      const std::uint8_t byte = flash_->read(flash_addr_);
+      for (std::size_t i = 0; i < 8; ++i) {
+        dr_shift_[i] = (byte >> i) & 1u;
+      }
+    }
+  }
+
+  void update_dr() {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < dr_shift_.size() && i < 64; ++i) {
+      v |= static_cast<std::uint64_t>(dr_shift_[i]) << i;
+    }
+    switch (ir_) {
+      case tap_ins::kExtest:
+        driven_pins_.assign(dr_shift_.begin(), dr_shift_.end());
+        break;
+      case tap_ins::kFlashAddr:
+        flash_addr_ = static_cast<std::uint32_t>(v);
+        break;
+      case tap_ins::kFlashData:
+        flash_->program(flash_addr_, static_cast<std::uint8_t>(v));
+        ++flash_addr_;
+        break;
+      case tap_ins::kFlashErase:
+        flash_->erase_sector(static_cast<std::size_t>(v));
+        break;
+      default:
+        break;
+    }
+  }
+
+  TapState state_ = TapState::TestLogicReset;
+  std::uint8_t ir_ = tap_ins::kIdcode;
+  std::uint32_t idcode_;
+  FlashMemory* flash_;
+  std::uint32_t flash_addr_ = 0;
+  std::vector<bool> pins_;
+  std::vector<bool> driven_pins_;
+  std::uint64_t ir_shift_ = 0;
+  std::vector<bool> dr_shift_;
+};
+
+class TapEquivalence : public ::testing::TestWithParam<std::size_t> {};
+
+// Seeded random TMS/TDI walks, started from every instruction, drive the
+// ring-buffer TapDevice and the shift-register reference side by side: TDO,
+// state, instruction, driven pins, flash address, flash contents and any
+// out-of-range flash throw must agree after every clock.
+TEST_P(TapEquivalence, RandomWalksMatchTheShiftRegisterModel) {
+  const std::size_t length = GetParam();
+  FlashMemory flash(4, 64);
+  FlashMemory ref_flash(4, 64);
+  TapDevice tap(0x2005DA7Eu, &flash, length);
+  ShiftRegisterTap ref(0x2005DA7Eu, &ref_flash, length);
+  Rng rng(0x7A9u + length);
+  std::size_t clocks = 0;
+  std::size_t resumes = 0;  // Exit2-DR -> Shift-DR
+  std::set<std::uint8_t> shifted;  // instructions seen in a Shift-DR clock
+
+  auto step = [&](bool tms, bool tdi) -> ::testing::AssertionResult {
+    ++clocks;
+    const TapState before = tap.state();
+    bool tdo = false;
+    bool ref_tdo = false;
+    bool threw = false;
+    bool ref_threw = false;
+    try {
+      tdo = tap.clock(tms, tdi);
+    } catch (const Error&) {
+      threw = true;
+    }
+    try {
+      ref_tdo = ref.clock(tms, tdi);
+    } catch (const Error&) {
+      ref_threw = true;
+    }
+    if (before == TapState::Exit2Dr && tap.state() == TapState::ShiftDr) {
+      ++resumes;
+    }
+    if (before == TapState::ShiftDr) {
+      shifted.insert(tap.instruction());
+    }
+    if (threw != ref_threw || tdo != ref_tdo || tap.state() != ref.state() ||
+        tap.instruction() != ref.instruction() ||
+        tap.driven_pins() != ref.driven_pins() ||
+        tap.flash_address() != ref.flash_address() ||
+        flash.read_image(0, flash.size()) !=
+            ref_flash.read_image(0, ref_flash.size())) {
+      return ::testing::AssertionFailure()
+             << "diverged at clock " << clocks << " in "
+             << tap_state_name(tap.state()) << " (reference "
+             << tap_state_name(ref.state()) << ")";
+    }
+    return ::testing::AssertionSuccess();
+  };
+
+  const std::vector<std::uint8_t> instructions = {
+      tap_ins::kExtest,    tap_ins::kIdcode,     tap_ins::kSample,
+      tap_ins::kFlashAddr, tap_ins::kFlashData,  tap_ins::kFlashErase,
+      tap_ins::kBypass,    0x5A /* unknown: BYPASS */};
+  // TDI densities: sparse ones keep flash addresses and sectors in range.
+  for (const double ones : {0.02, 0.5, 0.98}) {
+    for (const std::uint8_t ins : instructions) {
+      std::vector<bool> pins(length);
+      for (std::size_t i = 0; i < length; ++i) {
+        pins[i] = rng.chance(0.5);
+      }
+      tap.set_pins(pins);
+      ref.set_pins(pins);
+      // Reset, then load `ins`: RTI -> Select-DR -> Select-IR -> Capture-IR
+      // -> Shift-IR (8 bits) -> Exit1-IR -> Update-IR -> RTI.
+      for (int i = 0; i < 5; ++i) {
+        ASSERT_TRUE(step(true, false));
+      }
+      for (const bool tms : {false, true, true, false, false}) {
+        ASSERT_TRUE(step(tms, false));
+      }
+      for (std::size_t i = 0; i < TapDevice::kIrLength; ++i) {
+        ASSERT_TRUE(step(i + 1 == TapDevice::kIrLength, (ins >> i) & 1u));
+      }
+      ASSERT_TRUE(step(true, false));
+      ASSERT_TRUE(step(false, false));
+      ASSERT_EQ(tap.instruction(), ins);
+      for (const bool tms : {true, false, false}) {  // RTI -> Shift-DR
+        ASSERT_TRUE(step(tms, false));
+      }
+      // Long runs in Shift-DR wrap the ring; the rest of the walk pauses,
+      // resumes and wanders through the IR column too.
+      for (int i = 0; i < 400; ++i) {
+        const double p_tms = tap.state() == TapState::ShiftDr ? 0.02 : 0.3;
+        ASSERT_TRUE(step(rng.chance(p_tms), rng.chance(ones)));
+      }
+    }
+  }
+  EXPECT_GT(resumes, 0u);
+  for (const std::uint8_t ins : instructions) {
+    EXPECT_TRUE(shifted.count(ins) == 1) << "no Shift-DR clock under 0x"
+                                         << std::hex << int{ins};
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BoundaryLengths, TapEquivalence,
+                         ::testing::Values(1u, 4u, 16u, 64u, 65u, 100u));
+
+// The boot's scan sequence in TCK cycles, read-back verify included: reset
+// 6, sector erase 51, address 51, then 13 per byte programmed and 78 per
+// byte read back (address scan 51, IR 14, data 13). A faster TAP model
+// must clock exactly this many; dropping a scan or the verify changes it.
+TEST(Jtag, BootImageTakesAFixedTckCount) {
+  struct Case {
+    const char* design;
+    std::size_t image_bytes;
+    std::size_t tck;
+  };
+  // "minitester-wlp" is the wafer-probe preset's design name.
+  for (const Case c : {Case{"minitester", 1054, 96036},
+                       Case{"minitester-wlp", 1058, 96400}}) {
+    Bitstream bitstream = named_bitstream(c.design);
+    bitstream.payload.assign(1024, 0xA5);
+    const auto image = bitstream.serialize();
+    ASSERT_EQ(image.size(), c.image_bytes);
+    FlashMemory flash;
+    TapDevice tap(0x2005DA7Eu, &flash);
+    JtagHost host(tap);
+    host.program_flash_image(0, image, flash.sector_size());
+    EXPECT_EQ(host.tck_cycles(), c.tck) << c.design;
+    EXPECT_EQ(flash.read_image(0, image.size()), image);
+  }
+}
+
 // ------------------------------------------------------------------ usb --
 
 TEST(Usb, Crc5MatchesSpecExamples) {

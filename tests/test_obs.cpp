@@ -429,6 +429,26 @@ TEST(EnvProcess, MalformedThreadsRunsSerialAndDegradesSelfTest) {
   EXPECT_NE(obs_health->detail.find("MGT_THREADS"), std::string::npos);
 }
 
+// Runs only as the `obs.env.self_test_only` ctest case, which sets
+// MGT_THREADS=+2 and MGT_TELEMETRY=maybe for a fresh process that never
+// renders nor runs a parallel section: self_test() itself must read both
+// knobs, so the report names them although nothing else has.
+TEST(EnvProcess, SelfTestAloneNamesMalformedKnobs) {
+  const char* raw = std::getenv("MGT_THREADS");
+  if (raw == nullptr || std::string(raw) != "+2") {
+    GTEST_SKIP() << "needs MGT_THREADS=+2 (ctest obs.env.self_test_only)";
+  }
+  core::TestSystem sys(core::presets::optical_testbed(), 9);
+  ASSERT_EQ(util::env_rejections(), 0u) << "a knob was read before self_test";
+  const fault::HealthReport report = sys.self_test();
+  const fault::ComponentHealth* obs_health = report.find("obs");
+  ASSERT_NE(obs_health, nullptr);
+  EXPECT_EQ(obs_health->status, fault::HealthStatus::kDegraded);
+  EXPECT_NE(obs_health->detail.find("MGT_THREADS"), std::string::npos);
+  EXPECT_NE(obs_health->detail.find("MGT_TELEMETRY"), std::string::npos);
+  EXPECT_EQ(util::env_rejections(), 2u);
+}
+
 TEST_F(ObsTest, SelfTestReportsDisabledMetrics) {
   obs::registry().set_enabled(false);
   core::TestSystem sys(core::presets::optical_testbed(), 6);

@@ -204,7 +204,8 @@ TEST(DelayLine, ApplyShiftsEdges) {
 TEST(DelayLine, CodeRangeEnforced) {
   ProgrammableDelay delay(ProgrammableDelay::Config{}, Rng(10));
   EXPECT_THROW(delay.set_code(delay.code_count()), Error);
-  EXPECT_THROW(delay.actual_delay(delay.code_count()), Error);
+  EXPECT_THROW(static_cast<void>(delay.actual_delay(delay.code_count())),
+               Error);
 }
 
 TEST(DelayLine, InstancesDiffer) {

@@ -465,8 +465,9 @@ TEST(Levels, Adjustments) {
   const auto moved = levels.with_midpoint(Millivolts{1800.0});
   EXPECT_DOUBLE_EQ(moved.midpoint().mv(), 1800.0);
   EXPECT_DOUBLE_EQ(moved.swing().mv(), 800.0);
-  EXPECT_THROW(levels.with_voh(Millivolts{1500.0}), Error);
-  EXPECT_THROW(levels.with_swing(Millivolts{-10.0}), Error);
+  EXPECT_THROW(static_cast<void>(levels.with_voh(Millivolts{1500.0})), Error);
+  EXPECT_THROW(static_cast<void>(levels.with_swing(Millivolts{-10.0})),
+               Error);
 }
 
 TEST(Levels, Attenuated) {

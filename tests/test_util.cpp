@@ -280,7 +280,7 @@ TEST(BitVector, BasicSetGet) {
 
 TEST(BitVector, OutOfRangeThrows) {
   BitVector v(10);
-  EXPECT_THROW(v.get(10), Error);
+  EXPECT_THROW(static_cast<void>(v.get(10)), Error);
   EXPECT_THROW(v.set(10, true), Error);
 }
 
@@ -317,7 +317,7 @@ TEST(BitVector, HammingDistance) {
   const auto b = BitVector::from_string("10011010");
   EXPECT_EQ(a.hamming_distance(b), 2u);
   EXPECT_EQ(a.hamming_distance(a), 0u);
-  EXPECT_THROW(a.hamming_distance(BitVector(7)), Error);
+  EXPECT_THROW(static_cast<void>(a.hamming_distance(BitVector(7))), Error);
 }
 
 TEST(BitVector, TransitionsAndRuns) {
@@ -564,7 +564,7 @@ TEST(Histogram, QuantileLinearInterpolation) {
   }
   EXPECT_NEAR(h.quantile(0.5), 50.0, 1.0);
   EXPECT_NEAR(h.quantile(0.99), 99.0, 1.5);
-  EXPECT_THROW(h.quantile(1.5), Error);
+  EXPECT_THROW(static_cast<void>(h.quantile(1.5)), Error);
 }
 
 TEST(Histogram, ModeBin) {
