@@ -221,7 +221,9 @@ EyeDiagram accumulate_eye(const sig::EdgeStream& stream,
   telemetry::Hub& hub = telemetry::Hub::instance();
   if (hub.enabled()) {
     // Post-merge tail: these are properties of the merged eye, identical
-    // at every worker count, so the telemetry stream is too.
+    // at every worker count, so the telemetry stream is too. The obs
+    // counters above are process-cumulative totals; this snapshot holds
+    // this one accumulation's values, so it repeats none of them.
     telemetry::MetricSnapshot snap;
     snap.entries.push_back(
         telemetry::MetricEntry::counter("eye.samples", out.total_samples()));

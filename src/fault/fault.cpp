@@ -45,12 +45,6 @@ std::string_view to_string(FaultKind kind) {
       return "frame-corruption";
     case FaultKind::kSyncLoss:
       return "sync-loss";
-    case FaultKind::kSiteHang:
-      return "site-hang";
-    case FaultKind::kSiteSlow:
-      return "site-slow";
-    case FaultKind::kSpuriousBusy:
-      return "spurious-busy";
     case FaultKind::kTelemetryCorruption:
       return "telemetry-corruption";
     case FaultKind::kTelemetryTruncation:

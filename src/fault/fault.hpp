@@ -37,9 +37,6 @@ enum class FaultKind {
   kProbeContactLoss,  // probe-card contact lifted at a die site
   kFrameCorruption,   // link-layer bit flips (severity = flip probability)
   kSyncLoss,          // frame-bit violation forcing receiver resync
-  kSiteHang,          // tester site stops making progress (chunk never ends)
-  kSiteSlow,          // tester site degraded (chunk cost multiplied)
-  kSpuriousBusy,      // site rejects work it should accept (severity = prob.)
   kTelemetryCorruption,  // telemetry channel flips packet bits
   kTelemetryTruncation,  // telemetry channel cuts packets short
   kTelemetryReorder,     // telemetry channel swaps adjacent packets
@@ -58,7 +55,6 @@ enum class FaultKind {
 ///   "optics"         LossOfSignal               channel      send count
 ///   "fabric"         NodeFailure                flat node    packet slot
 ///   "array"          DeadPin / ProbeContactLoss site         touchdown
-///   "site"           SiteHang/Slow/SpuriousBusy site         virtual tick
 ///
 /// `severity` is a 0..1 knob: drift distance, glitch probability/amplitude,
 /// or the affected fraction when `index` is kAllIndices.

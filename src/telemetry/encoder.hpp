@@ -45,7 +45,7 @@ class StreamEncoder {
 public:
   struct Config {
     std::uint16_t stream_id = 0;
-    /// Obs/self-test name ("waveform", "metrics", "plans").
+    /// Obs/self-test name ("waveform", "metrics").
     std::string name;
     /// Ring bound in records; offers beyond it shed the oldest pending.
     std::size_t capacity_records = 256;

@@ -3,31 +3,28 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/obs.hpp"
 #include "util/env.hpp"
 
 namespace mgt::telemetry {
 
 namespace {
 
-/// Total pending-record budget across the three streams.
+/// Pending-record budget. The streams take fixed shares of it (waveform
+/// 1/2, metrics 1/4), so pending memory stays under it whatever is offered.
 constexpr std::uint64_t kBufferBytes = 4ull << 20;
 
 struct RingPlan {
   std::size_t waveform_records;
   std::size_t metrics_records;
-  std::size_t plans_records;
 };
 
-/// Splits kBufferBytes into per-stream record capacities using typical
-/// record footprints (a 512-sample chunk ≈ 4 KB, a chunked obs snapshot
-/// ≈ 8 KB, a plan summary ≈ 256 B). The split is a sizing heuristic; the
-/// *bound* itself is exact — each ring sheds oldest-first past its
+/// Turns each stream's share into a record capacity using a typical record
+/// footprint (a 512-sample chunk ≈ 4 KB, a metric snapshot ≈ 8 KB). The
+/// split is a sizing heuristic; the *bound* itself is exact — each ring sheds oldest-first past its
 /// capacity, so pending memory is constant regardless of offered volume.
 constexpr RingPlan kRingPlan{
     std::max<std::size_t>(16, kBufferBytes / 2 / 4096),
-    std::max<std::size_t>(16, kBufferBytes / 4 / 8192),
-    std::max<std::size_t>(16, kBufferBytes / 4 / 256)};
+    std::max<std::size_t>(16, kBufferBytes / 4 / 8192)};
 
 }  // namespace
 
@@ -39,8 +36,7 @@ Hub& Hub::instance() {
 Hub::Hub()
     : env_enabled_(util::env_flag("MGT_TELEMETRY", false)),
       waveform_({kWaveformStreamId, "waveform", kRingPlan.waveform_records}),
-      metrics_({kMetricsStreamId, "metrics", kRingPlan.metrics_records}),
-      plans_({kPlansStreamId, "plans", kRingPlan.plans_records}) {}
+      metrics_({kMetricsStreamId, "metrics", kRingPlan.metrics_records}) {}
 
 void Hub::publish_waveform(std::uint64_t tick, WaveformChunk chunk) {
   if (!enabled()) {
@@ -58,49 +54,12 @@ void Hub::publish_metrics(std::uint64_t tick, MetricSnapshot snapshot) {
   metrics_.offer(Record{tick, std::move(snapshot)});
 }
 
-void Hub::publish_plan(std::uint64_t tick, PlanSummary summary) {
-  if (!enabled()) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  plans_.offer(Record{tick, std::move(summary)});
-}
-
-void Hub::publish_obs_snapshot(std::uint64_t tick) {
-  if (!enabled()) {
-    return;
-  }
-  // counter_values()/gauge_values() are name-sorted and deterministic, so
-  // the chunking (and therefore the byte stream) is too.
-  MetricSnapshot snapshot;
-  auto flush_full = [&] {
-    if (snapshot.entries.size() >= kMaxSnapshotEntries) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      metrics_.offer(Record{tick, std::move(snapshot)});
-      snapshot = MetricSnapshot{};
-    }
-  };
-  for (const auto& [name, value] : obs::registry().counter_values()) {
-    snapshot.entries.push_back(MetricEntry::counter(name, value));
-    flush_full();
-  }
-  for (const auto& [name, value] : obs::registry().gauge_values()) {
-    snapshot.entries.push_back(MetricEntry::gauge(name, value));
-    flush_full();
-  }
-  if (!snapshot.entries.empty()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    metrics_.offer(Record{tick, std::move(snapshot)});
-  }
-}
-
 std::size_t Hub::drain(
     const std::function<void(std::vector<std::uint8_t>&&)>& sink) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t emitted = 0;
   emitted += waveform_.drain(sink);
   emitted += metrics_.drain(sink);
-  emitted += plans_.drain(sink);
   return emitted;
 }
 
@@ -112,7 +71,7 @@ std::vector<std::vector<std::uint8_t>> Hub::drain_packets() {
 
 Hub::Stats Hub::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return Stats{waveform_.stats(), metrics_.stats(), plans_.stats()};
+  return Stats{waveform_.stats(), metrics_.stats()};
 }
 
 void Hub::reset_for_test() {
@@ -121,7 +80,6 @@ void Hub::reset_for_test() {
       StreamEncoder({kWaveformStreamId, "waveform", kRingPlan.waveform_records});
   metrics_ =
       StreamEncoder({kMetricsStreamId, "metrics", kRingPlan.metrics_records});
-  plans_ = StreamEncoder({kPlansStreamId, "plans", kRingPlan.plans_records});
 }
 
 ScopedTelemetry::ScopedTelemetry(bool on)

@@ -1,18 +1,17 @@
 // Process-wide telemetry hub: the tap point the hot paths publish through.
 //
-// The hub owns one StreamEncoder per packet type (waveform / metrics /
-// plans) and gates every publish on the MGT_TELEMETRY knob (default OFF).
+// The hub owns one StreamEncoder per hub-published packet type (waveform,
+// metrics) and gates every publish on the MGT_TELEMETRY knob (default OFF).
 // The gate is one relaxed atomic load, taken before any argument is
 // materialized at the call sites, so a disabled build pays nothing and the
 // simulation results are byte-identical whether telemetry is on or off —
 // the hub observes, it never consumes RNG or perturbs scheduling.
 //
 // Publish sites live in serial sections only (render() entry, the eye
-// accumulator's post-merge tail, the scheduler's finalize/drain), so the
-// drained byte stream is identical at MGT_THREADS 0/1/8. The hub still
-// locks internally: that makes a misuse (publishing from a parallel
-// section) a data-race-free bug instead of UB, and keeps TSan quiet in
-// tests that exercise the hub directly.
+// accumulator's post-merge tail), so the drained byte stream is identical
+// at MGT_THREADS 0/1/8. The hub still locks internally: that makes a
+// misuse (publishing from a parallel section) a data-race-free bug instead
+// of UB, and keeps TSan quiet in tests that exercise the hub directly.
 //
 // Knob: MGT_TELEMETRY on/off (default off; strict util::env_flag);
 // ScopedTelemetry overrides it. The pending-record budget (4 MiB, split
@@ -31,10 +30,11 @@
 
 namespace mgt::telemetry {
 
-/// Stream ids carried in the packet header (stable wire contract).
+/// Stream ids carried in the packet header (stable wire contract). The hub
+/// publishes no PlanSummary stream; callers that emit plan summaries encode
+/// them with their own StreamEncoder.
 inline constexpr std::uint16_t kWaveformStreamId = 1;
 inline constexpr std::uint16_t kMetricsStreamId = 2;
-inline constexpr std::uint16_t kPlansStreamId = 3;
 
 class Hub {
 public:
@@ -63,18 +63,11 @@ public:
 
   void publish_waveform(std::uint64_t tick, WaveformChunk chunk);
   void publish_metrics(std::uint64_t tick, MetricSnapshot snapshot);
-  void publish_plan(std::uint64_t tick, PlanSummary summary);
-
-  /// Snapshots the obs registry (counters + gauges) into metric-snapshot
-  /// records, chunked so no single packet exceeds `kMaxSnapshotEntries`.
-  void publish_obs_snapshot(std::uint64_t tick);
-  static constexpr std::size_t kMaxSnapshotEntries = 256;
 
   // ------------------------------------------------------------- draining --
 
-  /// Encodes every pending record on every stream (waveform, then metrics,
-  /// then plans — a fixed order, so the byte stream is deterministic) and
-  /// hands each packet to `sink`. Returns packets emitted.
+  /// Encodes every pending record on every stream (waveform, then metrics
+  /// — a fixed order, so the byte stream is deterministic) and hands each packet to `sink`. Returns packets emitted.
   std::size_t drain(const std::function<void(std::vector<std::uint8_t>&&)>& sink);
 
   /// drain() into a vector of packets.
@@ -83,7 +76,6 @@ public:
   struct Stats {
     StreamStats waveform;
     StreamStats metrics;
-    StreamStats plans;
   };
   [[nodiscard]] Stats stats() const;
 
@@ -99,7 +91,6 @@ private:
   mutable std::mutex mutex_;
   StreamEncoder waveform_;
   StreamEncoder metrics_;
-  StreamEncoder plans_;
 };
 
 /// RAII override of the MGT_TELEMETRY gate, mirroring ScopedThreads so

@@ -59,7 +59,7 @@ inline constexpr std::size_t kDefaultMaxPayloadBytes = 64 * 1024;
 enum class PacketType : std::uint8_t {
   kWaveformChunk = 1,   // decimated rendered-waveform samples
   kMetricSnapshot = 2,  // obs counter/gauge snapshot entries
-  kPlanSummary = 3,     // service-layer PlanResult summary
+  kPlanSummary = 3,     // one finished test plan's accounting summary
 };
 
 [[nodiscard]] std::string_view to_string(PacketType type);
@@ -134,8 +134,8 @@ struct MetricSnapshot {
   [[nodiscard]] bool operator==(const MetricSnapshot&) const = default;
 };
 
-/// Service-layer PlanResult summary (kinds/outcomes as their wire bytes so
-/// telemetry does not depend on the service headers).
+/// One finished test plan's accounting summary. `kind` and `outcome` are
+/// opaque bytes whose meaning belongs to the producer.
 struct PlanSummary {
   std::uint64_t plan_id = 0;
   std::uint8_t kind = 0;

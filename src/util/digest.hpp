@@ -1,7 +1,7 @@
 // FNV-1a 64-bit content digests.
 //
-// Used for cheap structural fingerprints (service replay digests, result
-// checks). Deterministic across processes and platforms: the digest is
+// Used for cheap structural fingerprints (perfbench's per-workload golden
+// digests, result checks). Deterministic across processes and platforms: the digest is
 // a pure function of the mixed-in bytes, with doubles folded in by bit
 // pattern so two values collide only when they are the same double.
 #pragma once

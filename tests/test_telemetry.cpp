@@ -22,8 +22,6 @@
 
 #include "analysis/eye.hpp"
 #include "fault/fault.hpp"
-#include "obs/obs.hpp"
-#include "service/scheduler.hpp"
 #include "signal/edge.hpp"
 #include "signal/filter.hpp"
 #include "signal/render.hpp"
@@ -750,7 +748,6 @@ TEST(TelemetryHub, DisabledMeansZeroPacketsAndUntouchedResults) {
   const telemetry::Hub::Stats stats = telemetry::Hub::instance().stats();
   EXPECT_TRUE(stats.waveform.accounting_exact());
   EXPECT_TRUE(stats.metrics.accounting_exact());
-  EXPECT_TRUE(stats.plans.accounting_exact());
 }
 
 TEST(TelemetryHub, PublishedStreamByteIdenticalAcrossThreadCounts) {
@@ -784,78 +781,26 @@ TEST(TelemetryHub, PublishedStreamByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(decoder.stats().rejected, 0u);
 }
 
-TEST(TelemetryHub, SchedulerFinalizePublishesDecodablePlanSummaries) {
+TEST(TelemetryHub, RingCapacitiesShedOldestPastTheirShareOfTheBudget) {
+  // Waveform holds kBufferBytes/2/4096 = 512 records, metrics
+  // kBufferBytes/4/8192 = 128; every offer past that sheds the oldest.
   telemetry::ScopedTelemetry on(true);
-  telemetry::Hub::instance().reset_for_test();
-
-  service::Scheduler::Config config;
-  config.fleet.sites = 4;
-  service::Scheduler sched(config, /*seed=*/3);
-  service::TestPlan plan;
-  plan.tenant = "alpha";
-  plan.shards = 3;
-  plan.chunks_per_shard = 2;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(sched.submit(plan).accepted);
+  telemetry::Hub& hub = telemetry::Hub::instance();
+  hub.reset_for_test();
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    hub.publish_waveform(i, WaveformChunk{});
   }
-  ASSERT_TRUE(sched.drain(10'000));
-
-  std::vector<PlanSummary> summaries;
-  std::size_t snapshots = 0;
-  Decoder decoder(Decoder::Config{},
-                  [&](const PacketHeader&, const Record& r) {
-                    if (const auto* ps = std::get_if<PlanSummary>(&r.body)) {
-                      summaries.push_back(*ps);
-                    } else if (std::holds_alternative<MetricSnapshot>(r.body)) {
-                      ++snapshots;
-                    }
-                  });
-  telemetry::Hub::instance().drain([&](std::vector<std::uint8_t>&& p) {
-    decoder.feed(p);
-  });
-  decoder.flush();
-
-  ASSERT_EQ(summaries.size(), 4u);
-  const std::vector<service::PlanResult> results = sched.finished_results();
-  ASSERT_EQ(results.size(), 4u);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(summaries[i].plan_id, results[i].plan_id);
-    EXPECT_EQ(summaries[i].tenant, results[i].tenant);
-    EXPECT_EQ(summaries[i].shards, results[i].shards);
-    EXPECT_EQ(summaries[i].chunks_completed, results[i].chunks_completed);
-    EXPECT_EQ(summaries[i].digest, results[i].digest);
-    EXPECT_EQ(summaries[i].outcome,
-              static_cast<std::uint8_t>(results[i].outcome));
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    hub.publish_metrics(i, MetricSnapshot{});
   }
-  EXPECT_GE(snapshots, 1u) << "drain() publishes an obs snapshot";
-  EXPECT_EQ(decoder.stats().rejected, 0u);
-}
-
-TEST(TelemetryHub, ObsSnapshotsAreChunkedUnderTheEntryCeiling) {
-  telemetry::ScopedTelemetry on(true);
-  telemetry::Hub::instance().reset_for_test();
-  // More registry entries than fit in one packet: the snapshot must chunk.
-  constexpr std::size_t kCounters = telemetry::Hub::kMaxSnapshotEntries + 50;
-  for (std::size_t i = 0; i < kCounters; ++i) {
-    obs::add_counter("telemetry.test.chunk." + std::to_string(i));
-  }
-  telemetry::Hub::instance().publish_obs_snapshot(/*tick=*/1);
-  std::size_t entries = 0;
-  std::size_t packets = 0;
-  Decoder decoder(
-      Decoder::Config{}, [&](const PacketHeader&, const Record& r) {
-        const auto& ms = std::get<MetricSnapshot>(r.body);
-        EXPECT_LE(ms.entries.size(), telemetry::Hub::kMaxSnapshotEntries);
-        entries += ms.entries.size();
-        ++packets;
-      });
-  telemetry::Hub::instance().drain([&](std::vector<std::uint8_t>&& p) {
-    decoder.feed(p);
-  });
-  decoder.flush();
-  EXPECT_GE(entries, kCounters);
-  EXPECT_GE(packets, 2u) << "the ceiling must force a second packet";
-  EXPECT_EQ(decoder.stats().rejected, 0u);
+  const telemetry::Hub::Stats stats = hub.stats();
+  EXPECT_EQ(stats.waveform.pending, 512u);
+  EXPECT_EQ(stats.waveform.shed, 88u);
+  EXPECT_EQ(stats.metrics.pending, 128u);
+  EXPECT_EQ(stats.metrics.shed, 72u);
+  EXPECT_TRUE(stats.waveform.accounting_exact());
+  EXPECT_TRUE(stats.metrics.accounting_exact());
+  hub.reset_for_test();
 }
 
 }  // namespace

@@ -130,11 +130,9 @@ private:
   // --- unbounded blocking waits ---
 
   /// Blocking member calls with no deadline in src/: `cv.wait(...)`,
-  /// `thread.join()`, `future.wait()`, `semaphore.acquire()`. The session
-  /// layer's rule is that every wait is bounded — either by a virtual-tick
-  /// budget at the scheduler level or by a *_for/*_until variant at the
-  /// primitive level — so one hung site or worker can never hang the
-  /// process. Intentionally indefinite waits (a pool's idle workers parked
+  /// `thread.join()`, `future.wait()`, `semaphore.acquire()`. Every wait is
+  /// bounded — by a *_for/*_until variant or a caller-side budget — so one
+  /// hung worker can never hang the process. Intentionally indefinite waits (a pool's idle workers parked
   /// on a condition variable) carry a mgtlint:allow with a justification.
   void check_unbounded_wait(std::size_t i) {
     const Token& t = tok(i);

@@ -652,11 +652,11 @@ TEST(MgtlintUnboundedWait, CondVarWaitBad) {
 }
 
 TEST(MgtlintUnboundedWait, ThreadJoinAndSemaphoreAcquireBad) {
-  EXPECT_TRUE(fires("src/service/scheduler.cpp", R"(
+  EXPECT_TRUE(fires("src/util/parallel.cpp", R"(
     void stop(std::thread& t) { t.join(); }
   )",
                     "no-unbounded-wait"));
-  EXPECT_TRUE(fires("src/service/scheduler.cpp", R"(
+  EXPECT_TRUE(fires("src/util/parallel.cpp", R"(
     void take(std::counting_semaphore<4>& s) { s.acquire(); }
   )",
                     "no-unbounded-wait"));
