@@ -231,7 +231,7 @@ EyeDiagram accumulate_eye(const sig::EdgeStream& stream,
         "eye.crossings", out.crossings().size()));
     // The unit survives in the metric name: the wire codec is unit-erased
     // by design.
-    snap.entries.push_back(telemetry::MetricEntry::gauge(  // mgtlint:allow(unit-flow-raw-double)
+    snap.entries.push_back(telemetry::MetricEntry::gauge(
         "eye.height_mv", out.eye_height().mv()));
     hub.publish_metrics(out.total_samples(), std::move(snap));
   }

@@ -41,7 +41,7 @@ using Wire = std::vector<std::uint8_t>;
 /// PID byte = pid | (~pid << 4); receivers validate the complement nibble.
 std::uint8_t pid_byte(Pid pid);
 /// Decodes and validates a PID byte; nullopt if the check nibble is bad.
-std::optional<Pid> decode_pid(std::uint8_t byte);
+[[nodiscard]] std::optional<Pid> decode_pid(std::uint8_t byte);
 
 /// Token packet (SETUP/IN/OUT): addressed to a device endpoint.
 struct TokenPacket {

@@ -59,8 +59,8 @@ struct ArqConfig {
 };
 
 /// Outcome of sending one payload. [[nodiscard]]: ignoring whether the
-/// link actually delivered defeats the whole layer (see the mgtlint rule
-/// no-unchecked-status).
+/// link actually delivered defeats the whole layer, so the build's
+/// -Werror=unused-result rejects a discarded one.
 struct [[nodiscard]] SendResult {
   bool delivered = false;
   /// Full sequence number the payload travelled under.

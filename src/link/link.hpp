@@ -68,7 +68,7 @@ public:
 
   /// Sends one user payload (codec().user_bits() bits) with full ARQ
   /// protection. Returns whether it was delivered and at what cost.
-  SendResult send_payload(const BitVector& payload);
+  [[nodiscard]] SendResult send_payload(const BitVector& payload);
 
   /// Sends a stream of payloads through the sliding window. Results are
   /// index-aligned with the input.

@@ -259,7 +259,7 @@ std::uint64_t wall_now_ns() {
   // quarantined in profile_wall_ns() and never feed snapshot() values.
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now()  // mgtlint:allow(no-wall-clock)
+          std::chrono::steady_clock::now()  // lint:allow(no-wall-clock)
               .time_since_epoch())
           .count());
 }

@@ -126,7 +126,7 @@ void encode_waveform(const WaveformChunk& wf, std::vector<std::uint8_t>& out) {
   }
 }
 
-bool decode_waveform(ByteReader& in, WaveformChunk& wf) {
+[[nodiscard]] bool decode_waveform(ByteReader& in, WaveformChunk& wf) {
   wf.channel = in.u16();
   wf.decimation = in.u32();
   wf.t0_ps = in.f64();
@@ -156,7 +156,7 @@ void encode_metrics(const MetricSnapshot& ms, std::vector<std::uint8_t>& out) {
   }
 }
 
-bool decode_metrics(ByteReader& in, MetricSnapshot& ms) {
+[[nodiscard]] bool decode_metrics(ByteReader& in, MetricSnapshot& ms) {
   const std::uint32_t count = in.u32();
   if (!in.ok()) {
     return false;
@@ -205,7 +205,7 @@ void encode_plan(const PlanSummary& ps, std::vector<std::uint8_t>& out) {
   util::put_u64(out, ps.digest);
 }
 
-bool decode_plan(ByteReader& in, PlanSummary& ps) {
+[[nodiscard]] bool decode_plan(ByteReader& in, PlanSummary& ps) {
   ps.plan_id = in.u64();
   ps.kind = in.u8();
   ps.outcome = in.u8();

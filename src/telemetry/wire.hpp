@@ -104,8 +104,8 @@ struct WaveformChunk {
   std::uint32_t decimation = 1;
   // Wire-image fields: raw doubles by design — the packet layout, not the
   // in-simulation unit system, owns their representation.
-  double t0_ps = 0.0;  // mgtlint:allow(unit-suffix-double)
-  double dt_ps = 0.0;  // mgtlint:allow(unit-suffix-double)
+  double t0_ps = 0.0;  // lint:allow(unit-suffix-double)
+  double dt_ps = 0.0;  // lint:allow(unit-suffix-double)
   std::vector<double> samples;
 
   [[nodiscard]] bool operator==(const WaveformChunk&) const = default;

@@ -81,6 +81,7 @@ SlotBits build_slot(const SlotFormat& format, const TestbedPacket& packet);
 
 /// Recovers packet contents from channel bit sequences (the inverse of
 /// build_slot; used by tests and the receiver's frame parser).
-TestbedPacket parse_slot(const SlotFormat& format, const SlotBits& bits);
+[[nodiscard]] TestbedPacket parse_slot(const SlotFormat& format,
+                                      const SlotBits& bits);
 
 }  // namespace mgt::testbed

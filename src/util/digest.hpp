@@ -1,9 +1,17 @@
-// FNV-1a 64-bit content digests.
+// FNV-1a-style 64-bit content digests.
 //
 // Used for cheap structural fingerprints (perfbench's per-workload golden
-// digests, result checks). Deterministic across processes and platforms: the digest is
-// a pure function of the mixed-in bytes, with doubles folded in by bit
-// pattern so two values collide only when they are the same double.
+// digests, bench_parallel_scaling's identity check). Deterministic across
+// processes and platforms: the digest is a pure function of the mixed-in
+// bytes, with doubles folded in by bit pattern so two values collide only
+// when they are the same double.
+//
+// Not standard FNV-1a 64: the xor-then-multiply step and the prime are
+// FNV-1a's, but kOffset is 1469598103934665603 (0x14650FB0739D0383), the
+// FNV offset basis 14695981039346656037 (0xCBF29CE484222325) with a digit
+// dropped. perfbench/golden.txt pins digests made with this offset, so
+// correcting it means regenerating that file in the same change.
+// The fnv1a in fault/fault.cpp uses the standard basis.
 #pragma once
 
 #include <bit>
@@ -11,7 +19,7 @@
 
 namespace mgt::util {
 
-/// Incremental FNV-1a 64-bit hasher.
+/// Incremental FNV-1a-style 64-bit hasher (see the offset note above).
 class Fnv64 {
 public:
   void mix_u64(std::uint64_t x) {

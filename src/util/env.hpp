@@ -25,14 +25,13 @@ namespace mgt::util {
 /// rejection; a sign ("+4", "-1"), whitespace (" 8", "8 "), trailing
 /// garbage ("8x"), fractions, hex, values outside [min, max] and
 /// magnitudes past 64 bits are malformed. Pure.
-std::optional<std::uint64_t> parse_env_u64(const char* raw,
-                                           std::uint64_t min = 1,
-                                           std::uint64_t max = ~0ULL);
+[[nodiscard]] std::optional<std::uint64_t> parse_env_u64(
+    const char* raw, std::uint64_t min = 1, std::uint64_t max = ~0ULL);
 
 /// Strict parse of an on/off knob (e.g. MGT_TELEMETRY, MGT_OBS).
 /// Accepts exactly "0"/"off"/"false" (false) and "1"/"on"/"true" (true);
 /// nullptr/empty mean "unset". Anything else is malformed. Pure.
-std::optional<bool> parse_env_flag(const char* raw);
+[[nodiscard]] std::optional<bool> parse_env_flag(const char* raw);
 
 /// Reads integer knob `name`: its parsed value, or `fallback` when it is
 /// unset or malformed. A malformed value is counted and named (see

@@ -88,7 +88,7 @@ struct ThreadPool::Impl {
       // Shutdown is already signalled; workers exit their loop on the next
       // wake, so this join is bounded in practice and must not time out
       // (losing a worker mid-teardown would leak the pool's state).
-      t.join();  // mgtlint:allow(no-unbounded-wait)
+      t.join();  // lint:allow(no-unbounded-wait)
     }
   }
 
@@ -103,7 +103,7 @@ struct ThreadPool::Impl {
     // The chunk tasks are finite and exceptions are captured per worker, so
     // completion is guaranteed; a timeout here could only hide a real bug
     // by returning with tasks still running on the pool.
-    done.wait(lock, [this] { return pending == 0; });  // mgtlint:allow(no-unbounded-wait)
+    done.wait(lock, [this] { return pending == 0; });  // lint:allow(no-unbounded-wait)
     current_task = nullptr;
     if (first_error) {
       std::exception_ptr err = first_error;
@@ -121,7 +121,7 @@ struct ThreadPool::Impl {
         std::unique_lock<std::mutex> lock(mutex);
         // Idle workers are *meant* to park indefinitely between batches;
         // shutdown wakes them, so the wait cannot outlive the pool.
-        wake.wait(lock, [&] {  // mgtlint:allow(no-unbounded-wait)
+        wake.wait(lock, [&] {  // lint:allow(no-unbounded-wait)
           return shutdown || generation != seen_generation;
         });
         if (shutdown) {

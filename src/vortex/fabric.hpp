@@ -59,9 +59,9 @@ public:
   /// drain before retrying. Deliveries produced by those steps are
   /// appended to `deliveries` so no ejected packet is lost. Returns false
   /// when the entry never freed (persistently failed entry node).
-  bool inject_with_retry(const Packet& packet, std::size_t port,
-                         std::uint64_t max_wait_slots,
-                         std::vector<Delivery>& deliveries);
+  [[nodiscard]] bool inject_with_retry(const Packet& packet, std::size_t port,
+                                       std::uint64_t max_wait_slots,
+                                       std::vector<Delivery>& deliveries);
 
   /// Attaches this fabric's fault slice (kind kNodeFailure; index = flat
   /// node index or kAllIndices with severity = failed fraction; tick =

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "util/bitvec.hpp"
+#include "util/digest.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -699,6 +700,39 @@ TEST(Env, RejectionsAreCountedAndNamed) {
   unsetenv("MGT_TEST_KNOB_B");
   unsetenv("MGT_TEST_KNOB_C");
   util::reset_env_rejections_for_test();
+}
+
+// Pinned check vectors for util::Fnv64 with its offset 0x14650FB0739D0383
+// (not the FNV basis 0xCBF29CE484222325; see util/digest.hpp). perfbench's
+// golden digests depend on these exact values.
+TEST(Fnv64, CheckVectors) {
+  EXPECT_EQ(util::Fnv64{}.digest(), 0x14650FB0739D0383ULL);
+
+  util::Fnv64 zero;
+  zero.mix_u64(0);
+  EXPECT_EQ(zero.digest(), 0x47FE0D7EAF8E51E3ULL);
+
+  util::Fnv64 word;
+  word.mix_u64(0x0123456789ABCDEFULL);
+  EXPECT_EQ(word.digest(), 0xE1B1F298CFB61863ULL);
+
+  util::Fnv64 one;
+  one.mix_double(1.0);
+  EXPECT_EQ(one.digest(), 0x4A542A7EB18A78FAULL);
+
+  // Doubles fold in by bit pattern: -0.0 and +0.0 differ.
+  util::Fnv64 negative_zero;
+  negative_zero.mix_double(-0.0);
+  EXPECT_EQ(negative_zero.digest(), 0x47FE8D7EAF8F2B63ULL);
+  util::Fnv64 positive_zero;
+  positive_zero.mix_double(0.0);
+  EXPECT_EQ(positive_zero.digest(), zero.digest());
+
+  util::Fnv64 sequence;
+  sequence.mix_bool(true);
+  sequence.mix_double(1.0);
+  sequence.mix_u64(0x0123456789ABCDEFULL);
+  EXPECT_EQ(sequence.digest(), 0x819E5CC5A014B2BBULL);
 }
 
 }  // namespace
